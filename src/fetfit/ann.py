@@ -2,8 +2,12 @@
 
 Four swish hidden layers map the 24 normalized curve features to the 14
 min-max-normalized model parameters. Forward, backprop, and the
-adaptive-moment update are written directly on numpy arrays; training is
-single-threaded and fully deterministic for a fixed seed.
+adaptive-moment update are written directly on numpy arrays. Training runs
+in one Python thread, but the matrix products go to the BLAS library, which
+may run them on several threads of its own (OpenBLAS does by default). The
+numerics stay deterministic for a fixed seed: BLAS splits a product by
+output blocks, so each element is summed in the same order on any thread
+count.
 """
 
 from __future__ import annotations
@@ -111,16 +115,9 @@ def swish_grad(x):
 
 
 def _sigmoid(x):
-    # branch on sign so neither exp can overflow
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    # 1 / (1 + exp(-x)) rewritten as 0.5 * (1 + tanh(x / 2)): tanh saturates
+    # at +-1 instead of overflowing, so one branch-free pass serves every x
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
 
 
 def init_weights(cfg: MLPConfig) -> MLPWeights:
@@ -150,7 +147,8 @@ def loss_and_grad(w: MLPWeights, X, Y):
     """Mean-squared-error loss over all outputs and its gradients.
 
     Returns (loss, grads) with grads shaped like the weights; gradients are
-    accumulated by reverse-mode passes through the cached pre-activations.
+    accumulated by reverse-mode passes through the layer inputs and the
+    swish derivatives cached on the forward pass.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -158,14 +156,20 @@ def loss_and_grad(w: MLPWeights, X, Y):
         raise ValueError("X and Y need matching row counts")
     n_layers = len(w.W)
     acts = [X]
-    pres = []
+    dacts = []
     z = X
     for i in range(n_layers - 1):
-        pre = z @ w.W[i] + w.b[i]
-        pres.append(pre)
-        z = swish(pre)
+        pre = z @ w.W[i]
+        pre += w.b[i]
+        s = _sigmoid(pre)
+        z = pre * s
+        d = 1.0 - s
+        d *= z
+        d += s  # swish_grad(pre) = s + pre*s*(1 - s)
+        dacts.append(d)
         acts.append(z)
-    out = z @ w.W[-1] + w.b[-1]
+    out = z @ w.W[-1]
+    out += w.b[-1]
 
     resid = out - Y
     loss = float(np.mean(resid ** 2))
@@ -178,7 +182,8 @@ def loss_and_grad(w: MLPWeights, X, Y):
     gW[-1] = acts[-1].T @ delta
     gb[-1] = delta.sum(axis=0)
     for i in range(n_layers - 2, -1, -1):
-        delta = (delta @ w.W[i + 1].T) * swish_grad(pres[i])
+        delta = delta @ w.W[i + 1].T
+        delta *= dacts[i]
         gW[i] = acts[i].T @ delta
         gb[i] = delta.sum(axis=0)
     return loss, MLPWeights(gW, gb)
@@ -258,8 +263,10 @@ def _train_stage(w: MLPWeights, Xtr, Ytr, Xva, Yva, lr, epoch_budget,
                  tcfg: TrainConfig, rng, history: TrainHistory, t0, best_val_in):
     """One optimization stage with fresh moments; returns the best checkpoint
     seen so far (across stages)."""
-    m = MLPWeights([np.zeros_like(a) for a in w.W], [np.zeros_like(a) for a in w.b])
-    v = MLPWeights([np.zeros_like(a) for a in w.W], [np.zeros_like(a) for a in w.b])
+    params = w.W + w.b  # updated in place, so these stay w's arrays
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
+    scratch = [np.empty_like(a) for a in params]
     best_val = best_val_in
     best_w = w.copy()
     stale = 0
@@ -276,11 +283,8 @@ def _train_stage(w: MLPWeights, Xtr, Ytr, Xva, Yva, lr, epoch_budget,
             step += 1
             bc1 = 1.0 - tcfg.beta1 ** step
             bc2 = 1.0 - tcfg.beta2 ** step
-            for weights, mg, vg, gg in ((w.W, m.W, v.W, g.W), (w.b, m.b, v.b, g.b)):
-                for i in range(len(gg)):
-                    mg[i] = tcfg.beta1 * mg[i] + (1.0 - tcfg.beta1) * gg[i]
-                    vg[i] = tcfg.beta2 * vg[i] + (1.0 - tcfg.beta2) * gg[i] ** 2
-                    weights[i] -= lr * (mg[i] / bc1) / (np.sqrt(vg[i] / bc2) + tcfg.eps)
+            for p, mi, vi, gi, si in zip(params, m, v, g.W + g.b, scratch):
+                _adam_update(p, mi, vi, gi, si, lr, bc1, bc2, tcfg)
 
         val_pred = forward(w, Xva)
         val_loss = float(np.mean((val_pred - Yva) ** 2))
@@ -304,6 +308,29 @@ def _train_stage(w: MLPWeights, Xtr, Ytr, Xva, Yva, lr, epoch_budget,
                          epoch_offset + epoch, best_val)
                 break
     return best_w, best_val
+
+
+def _adam_update(p, m, v, g, tmp, lr, bc1, bc2, tcfg: TrainConfig):
+    """One adaptive-moment step on parameter array ``p``, all in place:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps). Each product and quotient is
+    formed in the expression's own order, so the result is bit-for-bit that
+    of the expression. The gradient ``g`` is spent: its buffer holds the
+    denominator."""
+    m *= tcfg.beta1
+    np.multiply(g, 1.0 - tcfg.beta1, out=tmp)
+    m += tmp
+    v *= tcfg.beta2
+    np.multiply(g, g, out=g)
+    g *= 1.0 - tcfg.beta2
+    v += g
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += tcfg.eps
+    np.divide(m, bc1, out=tmp)
+    tmp *= lr
+    tmp /= g
+    p -= tmp
 
 
 def predict_params(w: MLPWeights, norm: Normalizer, fv,
@@ -334,8 +361,9 @@ def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):
         "normalizer": norm.to_dict(),
         "layers": [{"W": wi.tolist(), "b": bi.tolist()} for wi, bi in zip(w.W, w.b)],
     }
+    text = json.dumps(doc)  # one call: json.dump to a file uses the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
         fh.write("\n")
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import ann, curve_io, dataset, svg, verify
@@ -97,26 +98,40 @@ def load_config(path) -> dict:
     return cfg
 
 
+@contextmanager
+def _config_section(section: str):
+    """Report a malformed value in one config section as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section!r} config: {exc}") from exc
+
+
 def resolve_ranges(cfg: dict) -> ParamRanges:
     overrides = cfg.get("ranges", {})
     if not overrides:
         return DEFAULT_RANGES
     merged = DEFAULT_RANGES.to_dict()
-    for k, v in overrides.items():
-        merged[k] = [float(v[0]), float(v[1])]
+    with _config_section("ranges"):
+        for k, v in overrides.items():
+            if not isinstance(v, list) or len(v) != 2:
+                raise ConfigError(f"bad 'ranges' config: {k} must be a [lo, hi] pair, got {v!r}")
+            merged[k] = [float(v[0]), float(v[1])]
     return ParamRanges.from_dict(merged)
 
 
 def resolve_feature_cfg(cfg: dict) -> FeatureConfig:
-    kw = {k: float(v) for k, v in cfg.get("features", {}).items()}
-    return FeatureConfig(**kw)
+    with _config_section("features"):
+        kw = {k: float(v) for k, v in cfg.get("features", {}).items()}
+        return FeatureConfig(**kw)
 
 
 def resolve_mlp_cfg(cfg: dict) -> ann.MLPConfig:
     section = cfg.get("mlp", {})
-    hidden = tuple(int(v) for v in section.get("hidden", ann.DEFAULT_HIDDEN))
-    return ann.MLPConfig(widths=(len(FEATURE_NAMES), *hidden, len(PARAM_NAMES)),
-                         seed=int(section.get("seed", 0)))
+    with _config_section("mlp"):
+        hidden = tuple(int(v) for v in section.get("hidden", ann.DEFAULT_HIDDEN))
+        seed = int(section.get("seed", 0))
+    return ann.MLPConfig(widths=(len(FEATURE_NAMES), *hidden, len(PARAM_NAMES)), seed=seed)
 
 
 def resolve_train_cfg(cfg: dict, seed_flag=None) -> ann.TrainConfig:
@@ -124,13 +139,14 @@ def resolve_train_cfg(cfg: dict, seed_flag=None) -> ann.TrainConfig:
     if seed_flag is not None:
         section["seed"] = seed_flag
     kw = {}
-    for k, v in section.items():
-        if k == "refine":
-            kw["refine_factors"] = tuple(float(x) for x in v)
-        elif k in ("batch_size", "max_epochs", "patience", "seed"):
-            kw[k] = int(v)
-        else:
-            kw[k] = float(v)
+    with _config_section("train"):
+        for k, v in section.items():
+            if k == "refine":
+                kw["refine_factors"] = tuple(float(x) for x in v)
+            elif k in ("batch_size", "max_epochs", "patience", "seed"):
+                kw[k] = int(v)
+            else:
+                kw[k] = float(v)
     return ann.TrainConfig(**kw)
 
 
@@ -203,7 +219,7 @@ def cmd_train(args) -> int:
             "mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed},
             "train": {k: getattr(tcfg, k) for k in
                       ("learning_rate", "batch_size", "max_epochs", "patience",
-                       "beta1", "beta2", "eps", "seed")},
+                       "beta1", "beta2", "eps", "seed", "refine_factors")},
         })
         ds = dataset.load_dataset(data_path)
         norm = dataset.fit_normalizer(ds)

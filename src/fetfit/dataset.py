@@ -223,24 +223,38 @@ def load_dataset(path) -> Dataset:
     expected_cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     if len(lines) < 2 or lines[1].split(",") != expected_cols:
         raise DataError(f"{path}: header row does not match the documented columns")
-    n_feat, n_par = len(FEATURE_NAMES), len(PARAM_NAMES)
-    X, Y, split = [], [], []
-    for ln_no, line in enumerate(lines[2:], start=3):
-        parts = line.split(",")
-        if len(parts) != len(expected_cols):
-            raise DataError(f"{path}:{ln_no}: expected {len(expected_cols)} cells")
-        try:
-            vals = [float(v) for v in parts[:-1]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{ln_no}: {exc}") from exc
-        if not all(np.isfinite(vals)):
-            raise DataError(f"{path}:{ln_no}: non-finite cell")
-        if parts[-1] not in SPLIT_LABELS:
-            raise DataError(f"{path}:{ln_no}: bad split label {parts[-1]!r}")
-        X.append(vals[:n_feat])
-        Y.append(vals[n_feat:n_feat + n_par])
-        split.append(parts[-1])
+    body = lines[2:]
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    n_cells = len(expected_cols)
+    for ln_no, line in enumerate(body, start=3):
+        if line.count(",") != n_cells - 1:
+            raise DataError(f"{path}:{ln_no}: expected {n_cells} cells")
+    split = np.array([line[line.rindex(",") + 1:] for line in body], dtype=object)
+    bad = np.nonzero(~np.isin(split, SPLIT_LABELS))[0]
+    if len(bad):
+        raise DataError(f"{path}:{bad[0] + 3}: bad split label {split[bad[0]]!r}")
+    try:
+        vals = np.loadtxt(body, delimiter=",", usecols=range(n_cells - 1),
+                          comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _unparsable_cell(path, body, exc) from exc
+    bad = np.nonzero(~np.isfinite(vals).all(axis=1))[0]
+    if len(bad):
+        raise DataError(f"{path}:{bad[0] + 3}: non-finite cell")
+    n_feat = len(FEATURE_NAMES)
     return Dataset(
-        X=np.array(X), Y=np.array(Y), split=np.array(split, dtype=object),
+        X=vals[:, :n_feat], Y=vals[:, n_feat:], split=split,
         seed=int(meta["seed"]), ranges=ParamRanges.from_dict(meta["ranges"]),
     )
+
+
+def _unparsable_cell(path, body, exc: ValueError) -> DataError:
+    """The bulk parser rejected the body; find the first bad cell line by
+    line so the message names it."""
+    for ln_no, line in enumerate(body, start=3):
+        try:
+            [float(v) for v in line.split(",")[:-1]]
+        except ValueError as cell_exc:
+            return DataError(f"{path}:{ln_no}: {cell_exc}")
+    return DataError(f"{path}: {exc}")

@@ -1,5 +1,6 @@
 """Network tests: activation, init, forward, gradients, training, model I/O."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from fetfit.ann import (
     DEFAULT_HIDDEN,
+    _adam_update,
+    _sigmoid,
     MLPConfig,
     MLPWeights,
     TrainConfig,
@@ -67,6 +70,18 @@ def test_swish_grad_matches_finite_difference():
     for x in (-3.0, -0.5, 0.0, 0.7, 4.0):
         fd = (swish(x + h) - swish(x - h)) / (2 * h)
         assert swish_grad(x) == pytest.approx(fd, abs=1e-8)
+
+
+def test_activations_finite_at_extremes():
+    x = np.array([-1e4, -710.0, -40.0, 0.0, 40.0, 710.0, 1e4])
+    with np.errstate(all="raise"):
+        s = _sigmoid(x)
+        sw = swish(x)
+        dsw = swish_grad(x)
+    assert np.all((s >= 0.0) & (s <= 1.0))
+    assert s[0] == 0.0 and s[-1] == 1.0
+    assert np.all(np.isfinite(sw)) and np.all(np.isfinite(dsw))
+    assert sw[-1] == 1e4 and sw[0] == 0.0
 
 
 def test_init_deterministic_and_scaled():
@@ -146,6 +161,21 @@ def test_gradients_match_finite_differences():
         _, g = loss_and_grad(w, X, Y)
         fd = finite_diff_grads(w, X, Y)
         assert max_rel_grad_error(g, fd) < 1e-4
+
+
+def test_adam_update_matches_reference_expression():
+    rng = np.random.default_rng(21)
+    tcfg = TrainConfig()
+    p, m, v, g = (rng.normal(size=(7, 5)) for _ in range(4))
+    v = np.abs(v)
+    lr, bc1, bc2 = 3e-3, 1.0 - tcfg.beta1 ** 4, 1.0 - tcfg.beta2 ** 4
+    m_ref = tcfg.beta1 * m + (1.0 - tcfg.beta1) * g
+    v_ref = tcfg.beta2 * v + (1.0 - tcfg.beta2) * g ** 2
+    p_ref = p - lr * (m_ref / bc1) / (np.sqrt(v_ref / bc2) + tcfg.eps)
+    _adam_update(p, m, v, g, np.empty_like(p), lr, bc1, bc2, tcfg)
+    assert np.array_equal(m, m_ref)
+    assert np.array_equal(v, v_ref)
+    assert np.array_equal(p, p_ref)
 
 
 def tiny_dataset(n=200, seed=12):
@@ -250,6 +280,24 @@ def test_model_save_load_bit_exact(tmp_path):
     assert mcfg2 == mcfg
     fv = ds.X[0]
     assert predict_params(w, norm, fv) == predict_params(w2, norm2, fv)
+
+
+# sha256 of save_model's bytes for the model below; pins the model file
+# format (recorded with a json.dump writer, before the one-call json.dumps).
+GOLDEN_MODEL_SHA256 = "89dc3635019be7108ffaccb4022ac1b22072f0057ab6ecb3926404abffb78bee"
+
+
+def test_model_bytes_golden(tmp_path):
+    mcfg = MLPConfig(seed=3)
+    w = init_weights(mcfg)
+    for i, b in enumerate(w.b):
+        b[:] = np.linspace(-1.0, 1.0, b.size) * (i + 1) / 7.0
+    rng = np.random.default_rng(11)
+    norm = Normalizer(feat_mean=rng.normal(size=24), feat_std=rng.uniform(0.5, 2.0, size=24),
+                      param_lo=DEFAULT_RANGES.lo_vector(), param_hi=DEFAULT_RANGES.hi_vector())
+    path = tmp_path / "model.json"
+    save_model(path, w, norm, mcfg)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256
 
 
 def test_model_load_rejects_bad_files(tmp_path):

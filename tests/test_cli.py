@@ -190,6 +190,35 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, cfg", [
+    (["gen", "--n", "100", "--seed", "1"], {"ranges": {"PHIG": 4.4}}),
+    (["gen", "--n", "100", "--seed", "1"], {"features": {"ss_lo": 1.0, "ss_hi": 0.5}}),
+    (["train", "--data", "absent.csv"], {"mlp": {"hidden": 64}}),
+    (["train", "--data", "absent.csv"], {"train": {"refine": 0.1}}),
+], ids=["ranges", "features", "mlp", "train"])
+def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out), "--config", str(cfg_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fetfit: error: ConfigError: bad ")
+    assert err.count("\n") == 1
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_train_echoes_refine_schedule(tmp_path, trained_dirs):
+    gen_dir, _ = trained_dirs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"max_epochs": 2, "patience": 1, "refine": [0.1]}}))
+    out = tmp_path / "train"
+    assert main(["train", "--data", str(gen_dir / "dataset.csv"),
+                 "--out", str(out), "--config", str(cfg)]) == 0
+    resolved = json.loads((out / "config_resolved.json").read_text())
+    assert resolved["train"]["refine_factors"] == [0.1]
+
+
 def test_failure_removes_partial_outputs(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"

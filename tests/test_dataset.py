@@ -1,6 +1,7 @@
 """Dataset generation, normalization, and persistence tests."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +174,20 @@ def test_dataset_bytes_golden(tmp_path):
     save_dataset(ds, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_DATASET_SHA256
+
+
+@pytest.mark.parametrize("row, reason", [
+    (lambda cells: cells[:-2] + cells[-1:], "expected 39 cells"),
+    (lambda cells: cells[:5] + ["0.5x"] + cells[6:], "could not convert"),
+    (lambda cells: cells[:-1] + ["holdout"], "bad split label 'holdout'"),
+    (lambda cells: ["#" + cells[0]] + cells[1:], "could not convert"),
+], ids=["cell-count", "unparsable", "split-label", "hash-row"])
+def test_load_names_bad_line(tmp_path, row, reason):
+    good = tmp_path / "ds.csv"
+    save_dataset(build_dataset(100, seed=15), good)
+    lines = good.read_text().splitlines()
+    lines[40] = ",".join(row(lines[40].split(",")))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(bad))}:41: .*{reason}"):
+        load_dataset(bad)
