@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,9 +81,16 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "refine_factors",
                            tuple(float(f) for f in self.refine_factors))
-        if min(self.learning_rate, self.batch_size, self.max_epochs,
-               self.patience, self.beta1, self.beta2, self.eps) <= 0:
+        settings = (self.learning_rate, self.batch_size, self.max_epochs,
+                    self.patience, self.beta1, self.beta2, self.eps)
+        # NaN fails every comparison, so finiteness is checked first
+        if not all(math.isfinite(v) for v in settings):
+            raise ConfigError("all training settings must be finite")
+        if min(settings) <= 0:
             raise ConfigError("all training settings must be positive")
+        if not (self.beta1 < 1 and self.beta2 < 1):
+            raise ConfigError(f"beta1 and beta2 must lie in (0, 1), got "
+                              f"{self.beta1}, {self.beta2}")
         if self.patience >= self.max_epochs:
             raise ConfigError("patience must be smaller than max_epochs")
         if any(not 0 < f < 1 for f in self.refine_factors):
@@ -235,7 +243,6 @@ def train(ds: Dataset, norm: Normalizer, mcfg: MLPConfig | None = None,
     else:
         w = init_weights(mcfg)
     history = TrainHistory(meta={
-        "mode": "single-threaded",
         "deterministic": True,
         "mlp": {"widths": list(mcfg.widths), "activation": mcfg.activation,
                 "init": mcfg.init, "seed": mcfg.seed},

@@ -4,6 +4,13 @@ Stands in for a SPICE-level compact-model simulator: a closed-form drain
 current and gate capacitance controlled by the 14 ``ModelParams``, evaluated
 on fixed voltage grids. All functions here are pure; equal inputs produce
 bit-identical outputs.
+
+Curves are validated where they enter the program: the public ``Curve``
+constructor, which the curve-CSV reader uses, checks the grid (strictly
+increasing and uniform) and the values. Simulated and derived curves skip
+the grid check. They reuse a grid that was checked once: the read-only
+module grids built at import, or the ``x`` of the curve they derive from.
+Their values are still checked.
 """
 
 from __future__ import annotations
@@ -88,6 +95,11 @@ class Curve:
     ``x`` is the swept voltage (Vgs for every kind except IdsVds, where it is
     Vds). ``vds`` / ``vgs`` hold the fixed bias when applicable, None for the
     swept axis.
+
+    The constructor checks everything: ``x`` strictly increasing and uniform,
+    ``y`` finite and, for Ids and Cgg, strictly positive. Curves made by
+    ``simulate_curveset`` and ``differentiate`` check ``y`` only, because
+    their ``x`` is a read-only module grid or the ``x`` of an existing curve.
     """
 
     kind: CurveKind
@@ -108,10 +120,23 @@ class Curve:
                 raise ValueError("x must be strictly increasing")
             if np.any(np.abs(dx - dx[0]) > 1e-9 * max(abs(dx[0]), 1e-30)):
                 raise ValueError("x must be a uniform grid")
-        if not np.all(np.isfinite(self.y)):
+        self._check_y()
+
+    @classmethod
+    def _on_checked_grid(cls, kind: CurveKind, x: np.ndarray, y: np.ndarray,
+                         vds: float | None = None, vgs: float | None = None) -> "Curve":
+        """Curve on an ``x`` that has passed the constructor's checks: a
+        module grid or the ``x`` of an existing Curve. Checks ``y`` only."""
+        curve = cls.__new__(cls)
+        curve.kind, curve.x, curve.y, curve.vds, curve.vgs = kind, x, y, vds, vgs
+        curve._check_y()
+        return curve
+
+    def _check_y(self):
+        if not np.isfinite(self.y).all():
             raise ValueError("y contains non-finite values")
         if self.kind in (CurveKind.IDS_VGS, CurveKind.IDS_VDS, CurveKind.CGG_VGS):
-            if np.any(self.y <= 0):
+            if (self.y <= 0).any():
                 raise ValueError(f"{self.kind.value} values must be strictly positive")
 
     @property
@@ -121,6 +146,20 @@ class Curve:
     def scaled(self, alpha: float) -> "Curve":
         """Same curve with y multiplied by alpha (> 0 for current kinds)."""
         return Curve(self.kind, self.x.copy(), self.y * alpha, vds=self.vds, vgs=self.vgs)
+
+
+def _checked_grid(grid: BiasGrid) -> np.ndarray:
+    # validated once through the public constructor, then frozen so that the
+    # curves sharing it cannot change it
+    x = Curve(CurveKind.IDS_VGS, grid.points(), np.ones(grid.n_points)).x
+    x.flags.writeable = False
+    return x
+
+
+# Gate-voltage points of the default sweeps, shared by every simulated curve.
+IV_X = _checked_grid(IV_GRID_LOW)
+CV_X = _checked_grid(CV_GRID)
+_IV_VDS = np.array([[VDS_LOW], [VDS_HIGH]])  # one row per stored I-V curve
 
 
 @dataclass
@@ -196,12 +235,11 @@ def cgg(params: ModelParams, vgs):
 
 def simulate_curveset(params: ModelParams) -> CurveSet:
     """Simulate the three stored curves on the default grids."""
-    x_iv = IV_GRID_LOW.points()
-    x_cv = CV_GRID.points()
+    iv = ids(params, IV_X, _IV_VDS)
     return CurveSet(
-        ids_low=Curve(CurveKind.IDS_VGS, x_iv, ids(params, x_iv, VDS_LOW), vds=VDS_LOW),
-        ids_high=Curve(CurveKind.IDS_VGS, x_iv, ids(params, x_iv, VDS_HIGH), vds=VDS_HIGH),
-        cgg_low=Curve(CurveKind.CGG_VGS, x_cv, cgg(params, x_cv), vds=0.0),
+        ids_low=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[0], vds=VDS_LOW),
+        ids_high=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[1], vds=VDS_HIGH),
+        cgg_low=Curve._on_checked_grid(CurveKind.CGG_VGS, CV_X, cgg(params, CV_X), vds=0.0),
     )
 
 
@@ -243,7 +281,7 @@ def differentiate(curve: Curve, order: int) -> Curve:
         g[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / (h * h)
         g[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / (h * h)
         kind = CurveKind.GM2_VGS
-    return Curve(kind, curve.x.copy(), g, vds=curve.vds, vgs=curve.vgs)
+    return Curve._on_checked_grid(kind, curve.x, g, vds=curve.vds, vgs=curve.vgs)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .device import (
     Curve,
     CurveKind,
     CurveSet,
-    differentiate,
+    differentiate,  # noqa: F401  public here; perfbench/tracing.py patches this name
 )
 from .errors import ExtractionError
 
@@ -182,8 +182,9 @@ def extract_gm_features(curve: Curve) -> np.ndarray:
 def featurize(cs: CurveSet, cfg: FeatureConfig | None = None) -> np.ndarray:
     """The full 24-feature vector in ``FEATURE_NAMES`` order.
 
-    The transconductance curves are derived internally with the shared
-    difference stencil. Any extraction failure aborts with the feature name.
+    The transconductance curves come from the curve set's cached Gm, derived
+    with the shared difference stencil, so a later verification of the same
+    curve set reuses them. Any extraction failure aborts with the feature name.
     """
     if cfg is None:
         cfg = FeatureConfig()
@@ -191,8 +192,8 @@ def featurize(cs: CurveSet, cfg: FeatureConfig | None = None) -> np.ndarray:
         ("Cgg", lambda: extract_cv_features(cs.cgg_low)),
         ("IV low-Vds", lambda: extract_iv_features(cs.ids_low, cfg)),
         ("IV high-Vds", lambda: extract_iv_features(cs.ids_high, cfg)),
-        ("Gm low-Vds", lambda: extract_gm_features(differentiate(cs.ids_low, 1))),
-        ("Gm high-Vds", lambda: extract_gm_features(differentiate(cs.ids_high, 1))),
+        ("Gm low-Vds", lambda: extract_gm_features(cs.gm_low())),
+        ("Gm high-Vds", lambda: extract_gm_features(cs.gm_high())),
     ]
     values = []
     for label, fn in parts:

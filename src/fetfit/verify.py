@@ -48,22 +48,28 @@ ROUND_TRIP_LIMITS = {
 VARIABILITY_FACTOR = 2.0
 
 
+def _require_same_grid(pred: Curve, target: Curve, caller: str):
+    # curves simulated on one module grid share its array; any other pair,
+    # such as a target read from disk, is compared point by point
+    if pred.x is not target.x and (
+            pred.x.shape != target.x.shape or np.any(pred.x != target.x)):
+        raise DataError(f"{caller}: curve grids do not match")
+
+
 def rms_percent(pred: Curve, target: Curve) -> float:
     """100 * ||pred - target|| / ||target|| over the shared grid."""
-    if pred.x.shape != target.x.shape or np.any(pred.x != target.x):
-        raise DataError("rms_percent: curve grids do not match")
-    diff = pred.y - target.y
-    denom = np.sqrt(np.sum(target.y ** 2))
+    _require_same_grid(pred, target, "rms_percent")
+    d = pred.y - target.y
+    denom = np.sqrt((target.y * target.y).sum())
     if denom == 0:
         raise DataError("rms_percent: target curve is identically zero")
-    return float(100.0 * np.sqrt(np.sum(diff ** 2)) / denom)
+    return float(100.0 * np.sqrt((d * d).sum()) / denom)
 
 
 def subthreshold_rms_percent(pred: Curve, target: Curve, i_crit: float) -> float:
     """rms_percent of log10(Ids) restricted to points with target Ids below
     the threshold criterion."""
-    if pred.x.shape != target.x.shape or np.any(pred.x != target.x):
-        raise DataError("subthreshold_rms_percent: curve grids do not match")
+    _require_same_grid(pred, target, "subthreshold_rms_percent")
     mask = target.y < i_crit
     if int(mask.sum()) < 3:
         raise DataError(
@@ -234,27 +240,30 @@ def holdout_round_trip(ds, norm: Normalizer, w: MLPWeights, n_devices: int = 200
     return reports, medians
 
 
-def _to_unit_box(vec: np.ndarray, ranges: ParamRanges) -> np.ndarray:
-    lo, hi = ranges.lo_vector(), ranges.hi_vector()
-    u = np.empty_like(vec)
-    for i, name in enumerate(PARAM_NAMES):
-        if name in LOG_UNIFORM_PARAMS:
-            u[i] = (np.log(vec[i]) - np.log(lo[i])) / (np.log(hi[i]) - np.log(lo[i]))
-        else:
-            u[i] = (vec[i] - lo[i]) / (hi[i] - lo[i])
-    return u
+#: Parameters mapped to the unit box on a log scale.
+_LOG_MASK = np.array([name in LOG_UNIFORM_PARAMS for name in PARAM_NAMES])
 
 
-def _from_unit_box(u: np.ndarray, ranges: ParamRanges) -> np.ndarray:
+def _log_box(ranges: ParamRanges) -> tuple:
+    """(lo, hi) of the ranges, with the log-uniform entries as logarithms."""
     lo, hi = ranges.lo_vector(), ranges.hi_vector()
-    u = np.clip(u, 0.0, 1.0)
-    vec = np.empty_like(u)
-    for i, name in enumerate(PARAM_NAMES):
-        if name in LOG_UNIFORM_PARAMS:
-            vec[i] = np.exp(np.log(lo[i]) + u[i] * (np.log(hi[i]) - np.log(lo[i])))
-        else:
-            vec[i] = lo[i] + u[i] * (hi[i] - lo[i])
-    return ranges.clip_vector(vec)
+    lo[_LOG_MASK] = np.log(lo[_LOG_MASK])
+    hi[_LOG_MASK] = np.log(hi[_LOG_MASK])
+    return lo, hi
+
+
+def _to_unit_box(vec: np.ndarray, box: tuple) -> np.ndarray:
+    lo, hi = box
+    z = vec.copy()
+    z[_LOG_MASK] = np.log(z[_LOG_MASK])
+    return (z - lo) / (hi - lo)
+
+
+def _from_unit_box(u: np.ndarray, box: tuple, ranges: ParamRanges) -> np.ndarray:
+    lo, hi = box
+    z = lo + np.clip(u, 0.0, 1.0) * (hi - lo)
+    z[_LOG_MASK] = np.exp(z[_LOG_MASK])
+    return ranges.clip_vector(z)
 
 
 def direct_fit_objective(params: ModelParams, target: CurveSet) -> float:
@@ -274,6 +283,7 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     result never exceeds the objective at ``init``.
     """
     ranges.require_nondegenerate()
+    box = _log_box(ranges)
     best = {"obj": direct_fit_objective(init, target), "params": init, "evals": 1}
     if best["obj"] == 0.0:
         return init
@@ -281,7 +291,7 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     def objective(u):
         if best["evals"] >= max_evals:
             return best["obj"]  # budget exhausted; keep the simplex stationary
-        vec = _from_unit_box(np.asarray(u, dtype=float), ranges)
+        vec = _from_unit_box(np.asarray(u, dtype=float), box, ranges)
         p = ModelParams.from_vector(vec)
         obj = direct_fit_objective(p, target)
         best["evals"] += 1
@@ -290,7 +300,7 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
             best["params"] = p
         return obj
 
-    u0 = _to_unit_box(init.to_vector(), ranges)
+    u0 = _to_unit_box(init.to_vector(), box)
     minimize(
         objective, u0, method="Nelder-Mead",
         bounds=[(0.0, 1.0)] * len(PARAM_NAMES),

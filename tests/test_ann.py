@@ -245,6 +245,21 @@ def test_train_rejects_shape_mismatch():
         train(ds, identity_norm(ds), MLPConfig(widths=(10, 5, 14)), TrainConfig(max_epochs=2, patience=1))
 
 
+@pytest.mark.parametrize("setting", [
+    {"learning_rate": float("nan")},
+    {"eps": float("nan")},
+    {"eps": float("inf")},
+    {"beta1": float("nan")},
+    {"beta1": 1.0},
+    {"beta2": 1.5},
+    {"beta2": 0.0},
+], ids=["lr-nan", "eps-nan", "eps-inf", "beta1-nan", "beta1-one", "beta2-above-one",
+        "beta2-zero"])
+def test_train_config_rejects_bad_settings(setting):
+    with pytest.raises(ConfigError):
+        TrainConfig(**setting)
+
+
 def test_predict_params_clips_to_ranges():
     ds = tiny_dataset(n=120, seed=16)
     norm = identity_norm(ds)

@@ -208,6 +208,20 @@ def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+def test_nan_train_setting_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": {"learning_rate": float("nan")}}))
+    assert "NaN" in cfg_path.read_text()
+    out = tmp_path / "out"
+    code = main(["train", "--data", "absent.csv", "--out", str(out),
+                 "--config", str(cfg_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fetfit: error: ConfigError: ")
+    assert err.count("\n") == 1
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_train_echoes_refine_schedule(tmp_path, trained_dirs):
     gen_dir, _ = trained_dirs
     cfg = tmp_path / "cfg.json"

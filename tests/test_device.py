@@ -95,6 +95,39 @@ def test_simulate_curveset_ion_matches_ids_golden():
     assert cs.ids_high.y[-1] == pytest.approx(GOLDEN_ION_REF, rel=1e-12)
 
 
+def test_simulated_curves_equal_public_constructor():
+    # simulated curves skip the grid checks, so pin them to curves built and
+    # checked through the public constructor from the model functions
+    for p in sample_params_list(20, seed=12):
+        cs = simulate_curveset(p)
+        x_iv, x_cv = IV_GRID_LOW.points(), CV_GRID.points()
+        built = [
+            Curve(CurveKind.IDS_VGS, x_iv, ids(p, x_iv, 0.05), vds=0.05),
+            Curve(CurveKind.IDS_VGS, x_iv, ids(p, x_iv, 0.7), vds=0.7),
+            Curve(CurveKind.CGG_VGS, x_cv, cgg(p, x_cv), vds=0.0),
+        ]
+        for sim, ref in zip((cs.ids_low, cs.ids_high, cs.cgg_low), built):
+            assert sim.kind == ref.kind and sim.vds == ref.vds and sim.vgs == ref.vgs
+            assert np.array_equal(sim.x, ref.x) and np.array_equal(sim.y, ref.y)
+
+
+def test_simulated_grid_is_read_only():
+    cs = simulate_curveset(REFERENCE_PARAMS)
+    for c in (cs.ids_low, cs.cgg_low, cs.gm_low()):
+        with pytest.raises(ValueError):
+            c.x[0] = 1.0
+    assert IV_GRID_LOW.points()[0] == 0.0
+
+
+@pytest.mark.parametrize("changes", [
+    {"U0": -1.0},                      # negative drain current
+    {"CGGMIN": -0.5, "CGGMAX": 0.0},   # negative gate capacitance
+], ids=["ids", "cgg"])
+def test_simulate_curveset_checks_values(changes):
+    with pytest.raises(ValueError):
+        simulate_curveset(REFERENCE_PARAMS.replace(**changes))
+
+
 def test_simulate_ids_vds():
     curves = simulate_ids_vds(REFERENCE_PARAMS, [0.5, 0.6, 0.7])
     assert len(curves) == 3

@@ -251,3 +251,25 @@ def test_default_grid_is_a_validated_precondition():
     x_cv = np.arange(0.0, 0.801, 0.01)
     with pytest.raises(ExtractionError, match="grid"):
         extract_cv_features(Curve(CurveKind.CGG_VGS, x_cv, 1.0 + x_cv, vds=0.0))
+
+
+def test_extract_path_differentiates_four_times(monkeypatch):
+    """featurize caches the target's Gm on the curve set, so scoring the same
+    target afterwards derives Gm only for the resimulated prediction."""
+    import fetfit.device
+    import fetfit.features
+    from fetfit.verify import round_trip_from_params
+
+    calls = []
+    real = fetfit.device.differentiate
+
+    def counting(curve, order):
+        calls.append(order)
+        return real(curve, order)
+
+    monkeypatch.setattr(fetfit.device, "differentiate", counting)
+    monkeypatch.setattr(fetfit.features, "differentiate", counting)
+    target = simulate_curveset(REFERENCE_PARAMS)
+    featurize(target)
+    round_trip_from_params(target, REFERENCE_PARAMS.replace(PHIG=4.46))
+    assert calls == [1, 1, 1, 1]

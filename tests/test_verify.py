@@ -64,6 +64,15 @@ def test_rms_percent_grid_mismatch_errors():
         rms_percent(a, b)
 
 
+def test_rms_percent_equal_length_grid_mismatch_errors():
+    c = simulate_curveset(REFERENCE_PARAMS).ids_low
+    shifted = Curve(CurveKind.IDS_VGS, IV_GRID_LOW.points() + 0.01, c.y, vds=0.05)
+    with pytest.raises(DataError):
+        rms_percent(shifted, c)
+    with pytest.raises(DataError):
+        rms_percent(c, shifted)
+
+
 def test_subthreshold_rms_identity_and_decade_shift():
     c = simulate_curveset(REFERENCE_PARAMS).ids_low
     assert subthreshold_rms_percent(c, c, 1e-7) == 0.0
@@ -144,3 +153,23 @@ def test_direct_fit_improves_on_init():
     out = direct_fit(target, DEFAULT_RANGES, init, max_evals=400)
     assert direct_fit_objective(out, target) <= direct_fit_objective(init, target)
     assert DEFAULT_RANGES.contains(out)
+
+
+# direct_fit(seed-32 target, mid-range init, 300 evaluations), recorded as
+# float.hex before the unit-box maps and curve checks were vectorised: the
+# simplex path must stay bit-identical
+GOLDEN_DIRECT_FIT_32 = (
+    "0x1.1565e3877275bp+2", "0x1.c272490491590p-4", "0x1.34cf0e3e8ba1bp-3",
+    "0x1.c76be447138d0p-4", "0x1.0b5873f804a96p+0", "0x1.e6b732e912d94p-1",
+    "0x1.cab644e4d06a3p-2", "0x1.4dfb3018d59d7p-3", "0x1.c5478870c9b73p+9",
+    "0x1.cbaa16cc853f3p-28", "0x1.b4d730b87d6aap-1", "0x1.24b7e46786055p-2",
+    "0x1.4ab4efe3f1bc0p-7", "0x1.b72a0ff4c704ep-4",
+)
+
+
+def test_direct_fit_golden():
+    target = simulate_curveset(sample_params_list(1, seed=32)[0])
+    lo, hi = DEFAULT_RANGES.lo_vector(), DEFAULT_RANGES.hi_vector()
+    init = ModelParams.from_vector(DEFAULT_RANGES.clip_vector((lo + hi) / 2))
+    out = direct_fit(target, DEFAULT_RANGES, init, max_evals=300).to_vector()
+    assert [v.hex() for v in out] == list(GOLDEN_DIRECT_FIT_32)
