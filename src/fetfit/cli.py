@@ -35,7 +35,6 @@ DEMO_DEVICES = 200
 
 _CONFIG_SECTIONS = {
     "seed": int,
-    "threads": int,
     "ranges": dict,
     "features": dict,
     "mlp": dict,
@@ -188,11 +187,9 @@ def cmd_gen(args) -> int:
     try:
         ranges = resolve_ranges(cfg)
         fcfg = resolve_feature_cfg(cfg)
-        threads = args.threads if args.threads else int(cfg.get("threads", 1))
-        echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed, "threads": threads})
+        echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed})
         t0 = time.perf_counter()
-        ds = dataset.build_dataset(args.n, seed=args.seed, ranges=ranges,
-                                   feature_cfg=fcfg, threads=threads)
+        ds = dataset.build_dataset(args.n, seed=args.seed, ranges=ranges, feature_cfg=fcfg)
         dataset.save_dataset(ds, out.path("dataset.csv"))
         wall = time.perf_counter() - t0
         print(f"generated {args.n} devices in {wall:.2f} s -> {out.out_dir / 'dataset.csv'}")
@@ -476,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="RNG seed")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--threads", type=int, help="worker threads for featurization")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train the parameter-extraction network")

@@ -1,8 +1,13 @@
 """Monte Carlo training-corpus generation and normalization.
 
-Samples parameter sets, simulates and featurizes each device, splits the
+Samples parameter sets, simulates and featurizes the devices, splits the
 rows 80/10/10, and persists everything as a single CSV with a JSON metadata
 line. Given (n, seed, ranges) the output bytes are fully deterministic.
+
+Generation is batch-first: the parameters are drawn as one (n, 14) block,
+and the devices are simulated and featurized a block of ``GEN_BLOCK`` rows
+per call. The rows are bit-identical to sampling, simulating and
+featurizing each device alone.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +23,10 @@ from .device import simulate_curveset
 from .errors import ConfigError, DataError, ExtractionError
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import (
+    CGG_MARGIN_FF,
     DEFAULT_RANGES,
+    I_CGGMAX,
+    I_CGGMIN,
     LOG_UNIFORM_PARAMS,
     PARAM_NAMES,
     ModelParams,
@@ -32,25 +39,43 @@ RNG_ALGORITHM = "numpy-pcg64"
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 SPLIT_LABELS = ("train", "val", "test")
 _MAX_RESAMPLE = 100
+_LOG_COLS = [PARAM_NAMES.index(n) for n in sorted(LOG_UNIFORM_PARAMS)]
+
+#: Devices simulated and featurized per call by ``build_dataset``. Larger
+#: blocks run no faster and raise peak memory: a 1,250-device corpus grew
+#: peak RSS by 1.8 MB in blocks of 256 and by 12.8 MB in one block.
+GEN_BLOCK = 256
 
 
-def sample_params(ranges: ParamRanges, rng: np.random.Generator) -> ModelParams:
-    """One in-range draw: uniform per parameter, log-uniform for IOFF0,
-    resampling (up to 100 tries) while the C-V plateau margin is violated."""
-    for _ in range(_MAX_RESAMPLE):
-        vals = {}
-        for name in PARAM_NAMES:
-            lo, hi = ranges.bounds[name]
-            if name in LOG_UNIFORM_PARAMS:
-                vals[name] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-            else:
-                vals[name] = float(rng.uniform(lo, hi))
-        if vals["CGGMIN"] + 0.1 > vals["CGGMAX"]:
-            continue
-        return ModelParams(**vals)
-    raise ConfigError(
-        "sampling rejected 100 draws in a row; the CGGMIN/CGGMAX ranges are incompatible"
-    )
+def sample_params(ranges: ParamRanges, rng: np.random.Generator, size: int | None = None):
+    """In-range draws: uniform per parameter, log-uniform for IOFF0,
+    redrawing a device while the C-V plateau margin is violated.
+
+    ``size=None`` gives one ModelParams; an int gives a (size, 14) block in
+    ``PARAM_NAMES`` order. A block takes the generator's stream exactly as
+    ``size`` single draws in a row would, and leaves it in the same state.
+    Raises ConfigError once 100 draws in a row are rejected.
+    """
+    n = 1 if size is None else size
+    lo, hi = ranges.lo_vector(), ranges.hi_vector()
+    lo[_LOG_COLS], hi[_LOG_COLS] = np.log(lo[_LOG_COLS]), np.log(hi[_LOG_COLS])
+    kept, got, rejected = [], 0, 0  # rejected: draws in a row before this round
+    while got < n:
+        # one round redraws the devices still missing, 14 numbers each, in order
+        draw = rng.uniform(lo, hi, size=(n - got, len(PARAM_NAMES)))
+        draw[:, _LOG_COLS] = np.exp(draw[:, _LOG_COLS])
+        ok = draw[:, I_CGGMIN] + CGG_MARGIN_FF <= draw[:, I_CGGMAX]
+        # rejected draws between consecutive accepted ones, the last run open
+        runs = np.diff(np.concatenate(([-1 - rejected], np.flatnonzero(ok), [len(ok)]))) - 1
+        if runs.max() >= _MAX_RESAMPLE:
+            raise ConfigError(
+                "sampling rejected 100 draws in a row; the CGGMIN/CGGMAX ranges are incompatible"
+            )
+        rejected = runs[-1]
+        kept.append(draw[ok])
+        got += len(kept[-1])
+    block = np.concatenate(kept)
+    return ModelParams.from_vector(block[0]) if size is None else block
 
 
 @dataclass
@@ -79,11 +104,11 @@ class Dataset:
 
 
 def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
-                  feature_cfg: FeatureConfig | None = None,
-                  threads: int = 1) -> Dataset:
-    """Generate n devices. Parameters are drawn sequentially from one seeded
-    stream; featurization is pure, so rows may be computed on worker threads
-    and assembled by index without affecting the result."""
+                  feature_cfg: FeatureConfig | None = None) -> Dataset:
+    """Generate n devices from one seeded stream: the parameters first, as
+    one block, then one simulate and one featurize call per ``GEN_BLOCK``
+    devices. If featurization fails, the DataError names the first failing
+    device's parameters and reason, and counts the failing devices."""
     if ranges is None:
         ranges = DEFAULT_RANGES
     if feature_cfg is None:
@@ -94,24 +119,23 @@ def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
 
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    all_params = [sample_params(ranges, rng) for _ in range(n)]
-
-    def row(params: ModelParams) -> np.ndarray:
+    Y = sample_params(ranges, rng, size=n)
+    X = np.empty((n, len(FEATURE_NAMES)))
+    failed, first = 0, None
+    for start in range(0, n, GEN_BLOCK):
+        block = Y[start:start + GEN_BLOCK]
         try:
-            return featurize(simulate_curveset(params), feature_cfg)
+            X[start:start + len(block)] = featurize(simulate_curveset(block), feature_cfg)
         except ExtractionError as exc:
-            raise DataError(
-                f"featurize failed for sampled params {json.dumps(params.to_dict())}: {exc}"
-            ) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, all_params))
-    else:
-        rows = [row(p) for p in all_params]
-
-    X = np.array(rows)
-    Y = np.array([p.to_vector() for p in all_params])
+            failed += len(exc.rows)
+            if first is None:
+                first = (block[exc.rows[0]], exc)
+    if first is not None:
+        params, exc = first
+        raise DataError(
+            f"featurize failed for {failed} of {n} sampled devices; the first has sampled "
+            f"params {json.dumps(dict(zip(PARAM_NAMES, params.tolist())))}: {exc}"
+        ) from exc
 
     perm = rng.permutation(n)
     n_train = int(SPLIT_FRACTIONS[0] * n)
@@ -188,10 +212,6 @@ def fit_normalizer(ds: Dataset) -> Normalizer:
                       param_lo=ds.ranges.lo_vector(), param_hi=ds.ranges.hi_vector())
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def save_dataset(ds: Dataset, path):
     """Write the dataset CSV: a '# meta' JSON line, a header row, then one
     row per device (24 features, 14 parameters, split label)."""
@@ -204,9 +224,9 @@ def save_dataset(ds: Dataset, path):
     }
     cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     lines = ["# meta " + json.dumps(meta, sort_keys=True), ",".join(cols)]
-    for i in range(ds.n):
-        vals = [_fmt(v) for v in ds.X[i]] + [_fmt(v) for v in ds.Y[i]] + [str(ds.split[i])]
-        lines.append(",".join(vals))
+    row_fmt = ",".join(["%.17g"] * (len(cols) - 1) + ["%s"])
+    for vals, label in zip(np.hstack([ds.X, ds.Y]).tolist(), ds.split.tolist()):
+        lines.append(row_fmt % (*vals, label))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

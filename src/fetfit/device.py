@@ -11,6 +11,12 @@ increasing and uniform) and the values. Simulated and derived curves skip
 the grid check. They reuse a grid that was checked once: the read-only
 module grids built at import, or the ``x`` of the curve they derive from.
 Their values are still checked.
+
+The simulator is batch-first. ``simulate_curveset`` takes one ``ModelParams``
+or an (N, 14) block of parameter rows; for a block every curve holds an
+(N, npts) value array, one row per device, on the shared grid, and
+``differentiate`` works along the last axis. Rows of a block are
+bit-identical to simulating each device alone.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
+from .params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges, check_param_block
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +101,8 @@ class Curve:
 
     ``x`` is the swept voltage (Vgs for every kind except IdsVds, where it is
     Vds). ``vds`` / ``vgs`` hold the fixed bias when applicable, None for the
-    swept axis.
+    swept axis. A curve of a simulated block holds ``y`` as an (N, npts)
+    array, one row per device, against the shared 1-D ``x``.
 
     The constructor checks everything: ``x`` strictly increasing and uniform,
     ``y`` finite and, for Ids and Cgg, strictly positive. Curves made by
@@ -203,43 +211,67 @@ def ids(params: ModelParams, vgs, vds):
     vds = np.asarray(vds, dtype=float)
     if np.any(vds < 0):
         raise ValueError("vds must be >= 0")
-
-    n = 1.0 + params.CIT + params.CDSC * (1.0 + vds)
-    vth = (params.PHIG - WORKFUNC_REF) - params.ETA0 * vds
-    nvt = n * THERMAL_V
-    q = nvt * _softplus((vgs - vth) / nvt)
-    vdsat = params.VSATV * q / (params.VSATV + q)
-    # vds/(1+(vds/vdsat)^A)^(1/A), rewritten to avoid overflow when vdsat -> 0
-    denom = (vdsat ** SAT_SMOOTHING + vds ** SAT_SMOOTHING) ** (1.0 / SAT_SMOOTHING)
-    vdse = np.where(denom > 0.0, vds * vdsat / np.where(denom > 0.0, denom, 1.0), 0.0)
-    mu = params.U0 / (1.0 + params.UA * q)
-    icore = K0 * mu * q * vdse * (1.0 + params.LAMBDA * vds)
-    current = icore / (1.0 + params.RDSW * icore) + params.IOFF0
+    current = _ids(params, vgs, vds)
     if current.ndim == 0:
         return float(current)
     return current
+
+
+def _ids(p, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
+    # p is a ModelParams, or a block's parameter columns (see _columns),
+    # which broadcast against vgs and vds
+    n = 1.0 + p.CIT + p.CDSC * (1.0 + vds)
+    vth = (p.PHIG - WORKFUNC_REF) - p.ETA0 * vds
+    nvt = n * THERMAL_V
+    q = nvt * _softplus((vgs - vth) / nvt)
+    vdsat = p.VSATV * q / (p.VSATV + q)
+    # vds/(1+(vds/vdsat)^A)^(1/A), rewritten to avoid overflow when vdsat -> 0
+    denom = (vdsat ** SAT_SMOOTHING + vds ** SAT_SMOOTHING) ** (1.0 / SAT_SMOOTHING)
+    vdse = np.where(denom > 0.0, vds * vdsat / np.where(denom > 0.0, denom, 1.0), 0.0)
+    mu = p.U0 / (1.0 + p.UA * q)
+    icore = K0 * mu * q * vdse * (1.0 + p.LAMBDA * vds)
+    return icore / (1.0 + p.RDSW * icore) + p.IOFF0
 
 
 def cgg(params: ModelParams, vgs):
     """Total gate capacitance, fF: logistic transition between the two
     plateau levels, centered at the C-V threshold."""
     _check_params(params)
-    vgs = np.asarray(vgs, dtype=float)
-    vth_cv = (params.PHIG - WORKFUNC_REF) + params.DVTCV
-    sigma = 1.0 / (1.0 + np.exp(-(vgs - vth_cv) / params.ACV))
-    cap = params.CGGMIN + (params.CGGMAX - params.CGGMIN) * sigma
+    cap = _cgg(params, np.asarray(vgs, dtype=float))
     if cap.ndim == 0:
         return float(cap)
     return cap
 
 
-def simulate_curveset(params: ModelParams) -> CurveSet:
-    """Simulate the three stored curves on the default grids."""
-    iv = ids(params, IV_X, _IV_VDS)
+def _cgg(p, vgs: np.ndarray) -> np.ndarray:
+    vth_cv = (p.PHIG - WORKFUNC_REF) + p.DVTCV
+    sigma = 1.0 / (1.0 + np.exp(-(vgs - vth_cv) / p.ACV))
+    return p.CGGMIN + (p.CGGMAX - p.CGGMIN) * sigma
+
+
+def _columns(block) -> SimpleNamespace:
+    """The parameters of an (N, 14) block by name, as (N, 1, 1) columns
+    that broadcast against the (drain bias, gate bias) grids."""
+    block = check_param_block(block)
+    return SimpleNamespace(**dict(zip(PARAM_NAMES, block.T[:, :, None, None])))
+
+
+def simulate_curveset(params) -> CurveSet:
+    """Simulate the three stored curves on the default grids.
+
+    ``params`` is one ``ModelParams`` or an (N, 14) block of parameter rows
+    in ``PARAM_NAMES`` order, checked once as a whole. A block gives a curve
+    set whose curves hold (N, npts) values, one row per device, on the same
+    read-only grids. Both evaluate the same expressions, so row i of a block
+    is bit-identical to simulating row i alone.
+    """
+    p = params if isinstance(params, ModelParams) else _columns(params)
+    iv = _ids(p, IV_X, _IV_VDS)
+    cv = _cgg(p, CV_X).reshape(iv.shape[:-2] + CV_X.shape)
     return CurveSet(
-        ids_low=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[0], vds=VDS_LOW),
-        ids_high=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[1], vds=VDS_HIGH),
-        cgg_low=Curve._on_checked_grid(CurveKind.CGG_VGS, CV_X, cgg(params, CV_X), vds=0.0),
+        ids_low=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[..., 0, :], vds=VDS_LOW),
+        ids_high=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[..., 1, :], vds=VDS_HIGH),
+        cgg_low=Curve._on_checked_grid(CurveKind.CGG_VGS, CV_X, cv, vds=0.0),
     )
 
 
@@ -254,7 +286,8 @@ def simulate_ids_vds(params: ModelParams, vgs_list) -> list[Curve]:
 
 
 def differentiate(curve: Curve, order: int) -> Curve:
-    """First or second derivative of an Ids-Vgs curve on its own grid.
+    """First or second derivative of an Ids-Vgs curve on its own grid,
+    along the last axis, so a block curve gives one derivative per row.
 
     Central differences at interior points, second-order one-sided stencils
     at both endpoints. The same operator is applied to simulated and external
@@ -265,12 +298,13 @@ def differentiate(curve: Curve, order: int) -> Curve:
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     y = curve.y
-    npts = len(y)
+    npts = y.shape[-1]
     min_pts = 3 if order == 1 else 4
     if npts < min_pts:
         raise ValueError(f"need at least {min_pts} points for order {order}, got {npts}")
     h = curve.step
-    g = np.empty_like(y)
+    y = y.T  # points first, so y[k] is point k of every row
+    g = np.empty(y.shape)
     if order == 1:
         g[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
         g[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
@@ -281,6 +315,8 @@ def differentiate(curve: Curve, order: int) -> Curve:
         g[0] = (2.0 * y[0] - 5.0 * y[1] + 4.0 * y[2] - y[3]) / (h * h)
         g[-1] = (2.0 * y[-1] - 5.0 * y[-2] + 4.0 * y[-3] - y[-4]) / (h * h)
         kind = CurveKind.GM2_VGS
+    # rows contiguous again, so reductions along a row sum in the same order
+    g = np.ascontiguousarray(g.T)
     return Curve._on_checked_grid(kind, curve.x, g, vds=curve.vds, vgs=curve.vgs)
 
 

@@ -10,7 +10,16 @@ class InvalidParameterError(FetfitError):
 
 
 class ExtractionError(FetfitError):
-    """A curve feature could not be extracted; the message names the feature."""
+    """A curve feature could not be extracted; the message names the feature.
+
+    For a block of devices the message is the first failing row's and
+    ``rows`` holds the index of every failing row (None: the failure is
+    not tied to rows, such as a grid the extractor cannot use).
+    """
+
+    def __init__(self, message: str, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class ConfigError(FetfitError):

@@ -3,6 +3,14 @@
 Six features come from the C-V curve, six from each of the two I-V curves,
 and three from each derived transconductance curve. ``FEATURE_NAMES`` fixes
 the order used everywhere (dataset columns, network input, feature CSVs).
+
+Extraction is batch-first. Each function takes the curve of one device or a
+block curve from ``simulate_curveset`` (values (N, npts), one row per
+device) and gives one result per row: ``featurize`` returns (24,) or
+(N, 24). One device runs as a block of one through the same kernels, so a
+block row is bit-identical to featurizing that device alone. If rows fail,
+``ExtractionError`` carries the reason of the first failing row, the one
+its single-device call gives, and lists every failing row in ``rows``.
 """
 
 from __future__ import annotations
@@ -65,159 +73,270 @@ def _require_default_grid(curve: Curve, start: float, stop: float, step: float):
         )
 
 
-def trapz(curve: Curve) -> float:
-    """Composite trapezoidal integral of y over the full grid."""
+def _require_kind(curve: Curve, kind: CurveKind, need: str):
+    if curve.kind != kind:
+        raise ValueError(f"{need}, got {curve.kind.value}")
+
+
+def _check_iv(curve: Curve):
+    _require_default_grid(curve, IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP)
+    _require_kind(curve, CurveKind.IDS_VGS, "Vth needs an IdsVgs curve")
+
+
+def _check_cv(curve: Curve):
+    _require_kind(curve, CurveKind.CGG_VGS, "CV features need a CggVgs curve")
+    _require_default_grid(curve, CV_VGS_START, CV_VGS_STOP, CV_VGS_STEP)
+
+
+def _stacked_y(*curves: Curve) -> np.ndarray:
+    """The curves' values stacked as one C-contiguous (M, npts) array; a
+    curve of one device is a block of one."""
+    ys = [c.y.reshape(-1, c.y.shape[-1]) for c in curves]
+    return np.concatenate(ys) if len(ys) > 1 else np.ascontiguousarray(ys[0])
+
+
+def _rows(*curves: Curve):
+    """``_stacked_y`` with a matching x array, each row on its own grid."""
+    y = _stacked_y(*curves)
+    x = np.empty(y.shape)
+    per_curve = len(y) // len(curves)
+    for k, c in enumerate(curves):
+        x[k * per_curve:(k + 1) * per_curve] = c.x
+    return x, y
+
+
+def _raise_first(checks: list):
+    """Raise for the first failing row, with the first check it failed.
+    ``checks`` holds (label, failing-row mask, reason for row r) in the
+    order the checks run."""
+    bad = np.logical_or.reduce([mask for _, mask, _ in checks])
+    if bad.any():
+        row = int(bad.argmax())
+        label, _, reason = next(c for c in checks if c[1][row])
+        raise ExtractionError(label + reason(row), rows=np.flatnonzero(bad))
+
+
+def _per_row(kernel, curve: Curve, *args):
+    """Run a block kernel on the rows of one curve and raise for the first
+    failing row; one value or row of values per curve row."""
+    fail = []
+    out = kernel(*_rows(curve), *args, fail)
+    _raise_first([("", bad, reason) for bad, reason in fail])
+    if isinstance(out, list):
+        out = np.stack(out, axis=1)
+    return out[0] if curve.y.ndim == 1 else out
+
+
+def _bracket(x: np.ndarray, y: np.ndarray, above: np.ndarray) -> tuple:
+    """x and y of each row at the first point where ``above`` holds and at
+    the point before it. Rows with no such point after the first get points
+    0 and 1 as a placeholder. Gathers by flat index, the cheaper way."""
+    at = np.arange(0, y.size, y.shape[1]) + np.maximum(above.argmax(axis=1), 1)
+    before = at - 1
+    xf, yf = x.ravel(), y.ravel()
+    return xf[before], xf[at], yf[before], yf[at]
+
+
+def _log10(values: np.ndarray) -> np.ndarray:
+    # math.log10 element by element: np.log10 differs from it in the last
+    # bit on some inputs, and Vth has always used math.log10
+    return np.array([math.log10(v) for v in values.tolist()])
+
+
+def _trapz(x: np.ndarray, y: np.ndarray):
+    # np.trapezoid's expression along the last axis, without its set-up
+    return ((x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)
+
+
+def _rms(y: np.ndarray):
+    return np.sqrt((y * y).sum(axis=-1) / y.shape[-1])
+
+
+def trapz(curve: Curve):
+    """Composite trapezoidal integral of y over the full grid, per row."""
     if len(curve.x) < 2:
         raise ValueError("trapz needs at least 2 points")
-    return float(np.trapezoid(curve.y, curve.x))
+    return _trapz(curve.x, curve.y)
 
 
-def rms(curve: Curve) -> float:
-    """Discrete root-mean-square of the y values."""
-    if len(curve.y) < 1:
+def rms(curve: Curve):
+    """Discrete root-mean-square of the y values, per row."""
+    if curve.y.shape[-1] < 1:
         raise ValueError("rms needs at least 1 point")
-    return float(np.sqrt(np.mean(curve.y ** 2)))
+    return _rms(curve.y)
 
 
-def vth_constant_current(curve: Curve, i_crit: float) -> float:
-    """Constant-current threshold voltage.
+def _vth(x: np.ndarray, y: np.ndarray, i_crit: float, fail: list) -> np.ndarray:
+    above = y >= i_crit
+    starts_above, never = above[:, 0], ~above.any(axis=1)
+    fail.append((starts_above, lambda r: (
+        f"Vth: curve starts at {y[r, 0]:.3e} A, already above i_crit={i_crit:.3e} A")))
+    fail.append((never, lambda r: (
+        f"Vth: curve never reaches i_crit={i_crit:.3e} A (max {y[r].max():.3e} A)")))
+    x0, x1, y0, y1 = _bracket(x, y, above)
+    z0 = _log10(y0)
+    dz = _log10(y1) - z0
+    dz[starts_above | never] = np.nan  # failed rows give NaN
+    return x0 + (math.log10(i_crit) - z0) * (x1 - x0) / dz
+
+
+def vth_constant_current(curve: Curve, i_crit: float):
+    """Constant-current threshold voltage, per row.
 
     Returns the Vgs where the curve crosses ``i_crit``, interpolating Vgs
     linearly against log10(Ids) between the bracketing grid points (exact on
     log-linear data).
     """
-    if curve.kind != CurveKind.IDS_VGS:
-        raise ValueError(f"Vth needs an IdsVgs curve, got {curve.kind.value}")
-    y = curve.y
-    if y[0] >= i_crit:
-        raise ExtractionError(
-            f"Vth: curve starts at {y[0]:.3e} A, already above i_crit={i_crit:.3e} A"
-        )
-    above = np.nonzero(y >= i_crit)[0]
-    if len(above) == 0:
-        raise ExtractionError(
-            f"Vth: curve never reaches i_crit={i_crit:.3e} A (max {y.max():.3e} A)"
-        )
-    i = int(above[0])
-    z0, z1 = math.log10(y[i - 1]), math.log10(y[i])
-    zc = math.log10(i_crit)
-    return float(curve.x[i - 1] + (zc - z0) * (curve.x[i] - curve.x[i - 1]) / (z1 - z0))
+    _require_kind(curve, CurveKind.IDS_VGS, "Vth needs an IdsVgs curve")
+    return _per_row(_vth, curve, i_crit)
 
 
-def subthreshold_swing(curve: Curve, cfg: FeatureConfig) -> float:
-    """Subthreshold swing in mV/dec: least-squares slope of Vgs against
-    log10(Ids) over the grid points with ss_lo <= Ids <= ss_hi."""
-    if curve.kind != CurveKind.IDS_VGS:
-        raise ValueError(f"SS needs an IdsVgs curve, got {curve.kind.value}")
-    mask = (curve.y >= cfg.ss_lo) & (curve.y <= cfg.ss_hi)
-    n_in = int(mask.sum())
-    if n_in < 3:
-        raise ExtractionError(
-            f"SS: only {n_in} grid points inside the window "
-            f"[{cfg.ss_lo:.3e}, {cfg.ss_hi:.3e}] A (need 3)"
-        )
-    z = np.log10(curve.y[mask])
-    v = curve.x[mask]
-    zc = z - z.mean()
-    slope = float(np.dot(zc, v - v.mean()) / np.dot(zc, zc))
-    return 1000.0 * slope
+def _ss(x: np.ndarray, y: np.ndarray, cfg: FeatureConfig, fail: list) -> np.ndarray:
+    inside = (y >= cfg.ss_lo) & (y <= cfg.ss_hi)
+    count = inside.sum(axis=1)
+    few = count < 3
+    fail.append((few, lambda r: (
+        f"SS: only {count[r]} grid points inside the window "
+        f"[{cfg.ss_lo:.3e}, {cfg.ss_hi:.3e}] A (need 3)")))
+    ss = np.full(len(y), np.nan)
+    # every row's window points, row after row, in grid order
+    z_in, x_in = np.log10(y[inside]), x[inside]
+    first = np.cumsum(count) - count
+    # Rows whose windows hold equally many points are fitted together: each
+    # row's sums and dot products then run over exactly its own points, as
+    # for one device alone, which keeps the result bit-identical.
+    for n in set(count[~few].tolist()):
+        rows = np.flatnonzero(count == n)
+        at = first[rows][:, None] + np.arange(n)
+        z, v = z_in[at], x_in[at]
+        zc = z - z.sum(axis=1, keepdims=True) / n
+        slope = np.vecdot(zc, v - v.sum(axis=1, keepdims=True) / n) / np.vecdot(zc, zc)
+        ss[rows] = 1000.0 * slope
+    return ss
+
+
+def subthreshold_swing(curve: Curve, cfg: FeatureConfig):
+    """Subthreshold swing in mV/dec, per row: least-squares slope of Vgs
+    against log10(Ids) over the grid points with ss_lo <= Ids <= ss_hi."""
+    _require_kind(curve, CurveKind.IDS_VGS, "SS needs an IdsVgs curve")
+    return _per_row(_ss, curve, cfg)
+
+
+def _iv_columns(x: np.ndarray, y: np.ndarray, cfg: FeatureConfig, fail: list) -> list:
+    return [_vth(x, y, cfg.i_crit, fail), _ss(x, y, cfg, fail),
+            y[:, -1], y[:, 0], _trapz(x, y), _rms(y)]
 
 
 def extract_iv_features(curve: Curve, cfg: FeatureConfig) -> np.ndarray:
-    """[Vth, SS, Ion, Ioff, Ids_inte, Ids_rms] for one Ids-Vgs curve on the
+    """[Vth, SS, Ion, Ioff, Ids_inte, Ids_rms] per Ids-Vgs curve row on the
     default sweep; Ion and Ioff are exact grid reads at the last and first
     point."""
-    _require_default_grid(curve, IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP)
-    return np.array([
-        vth_constant_current(curve, cfg.i_crit),
-        subthreshold_swing(curve, cfg),
-        float(curve.y[-1]),
-        float(curve.y[0]),
-        trapz(curve),
-        rms(curve),
-    ])
+    _check_iv(curve)
+    return _per_row(_iv_columns, curve, cfg)
+
+
+def _cv_columns(x: np.ndarray, y: np.ndarray, fail: list) -> list:
+    c_max = y.max(axis=1)
+    c_min = y.min(axis=1)
+    mid = 0.5 * (c_max + c_min)
+    above = y >= mid[:, None]
+    fail.append((above[:, 0], lambda r: (
+        "V_mid: no upward midpoint crossing (curve starts at or above the midpoint)")))
+    # a curve that starts below mid crosses it, as mid <= c_max
+    x0, x1, y0, y1 = _bracket(x, y, above)
+    dy = y1 - y0
+    dy[above[:, 0]] = np.nan  # failed rows give NaN
+    v_mid = x0 + (mid - y0) * (x1 - x0) / dy
+    slope0 = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * (x[:, 1] - x[:, 0]))
+    return [c_max, c_min, v_mid, _trapz(x, y), _rms(y), slope0]
 
 
 def extract_cv_features(curve: Curve) -> np.ndarray:
-    """[Cgg_max, Cgg_min, V_mid, Cgg_inte, Cgg_rms, Cgg_slope] for one
-    Cgg-Vgs curve.
+    """[Cgg_max, Cgg_min, V_mid, Cgg_inte, Cgg_rms, Cgg_slope] per Cgg-Vgs
+    curve row.
 
     V_mid is the first left-to-right crossing of (max+min)/2, linearly
     interpolated; Cgg_slope is a second-order forward difference at the
     first grid point.
     """
-    if curve.kind != CurveKind.CGG_VGS:
-        raise ValueError(f"CV features need a CggVgs curve, got {curve.kind.value}")
-    _require_default_grid(curve, CV_VGS_START, CV_VGS_STOP, CV_VGS_STEP)
-    y = curve.y
-    c_max = float(y.max())
-    c_min = float(y.min())
-    mid = 0.5 * (c_max + c_min)
-    if y[0] >= mid:
-        raise ExtractionError(
-            "V_mid: no upward midpoint crossing (curve starts at or above the midpoint)"
-        )
-    above = np.nonzero(y >= mid)[0]
-    if len(above) == 0:
-        raise ExtractionError("V_mid: curve never reaches the midpoint")
-    i = int(above[0])
-    v_mid = float(
-        curve.x[i - 1]
-        + (mid - y[i - 1]) * (curve.x[i] - curve.x[i - 1]) / (y[i] - y[i - 1])
-    )
-    if len(y) < 3:
-        raise ExtractionError("Cgg_slope: need at least 3 points")
-    h = curve.step
-    slope0 = float((-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h))
-    return np.array([c_max, c_min, v_mid, trapz(curve), rms(curve), slope0])
+    _check_cv(curve)
+    return _per_row(_cv_columns, curve)
+
+
+def _gm_columns(x: np.ndarray, y: np.ndarray, fail: list) -> list:
+    return [y.max(axis=1), _trapz(x, y), _rms(y)]
 
 
 def extract_gm_features(curve: Curve) -> np.ndarray:
-    """[Gm_max, Gm_inte, Gm_rms] for one transconductance curve."""
-    if curve.kind != CurveKind.GM_VGS:
-        raise ValueError(f"Gm features need a GmVgs curve, got {curve.kind.value}")
-    return np.array([float(curve.y.max()), trapz(curve), rms(curve)])
+    """[Gm_max, Gm_inte, Gm_rms] per transconductance curve row."""
+    _require_kind(curve, CurveKind.GM_VGS, "Gm features need a GmVgs curve")
+    return _per_row(_gm_columns, curve)
 
 
 def featurize(cs: CurveSet, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """The full 24-feature vector in ``FEATURE_NAMES`` order.
+    """The 24 features in ``FEATURE_NAMES`` order: (24,) for one device,
+    (N, 24) for a simulated block.
 
     The transconductance curves come from the curve set's cached Gm, derived
     with the shared difference stencil, so a later verification of the same
-    curve set reuses them. Any extraction failure aborts with the feature name.
+    curve set reuses them. A failure names the feature; for a block it is
+    the first failing row's, and the error's ``rows`` lists every failing
+    row.
     """
     if cfg is None:
         cfg = FeatureConfig()
-    parts = [
-        ("Cgg", lambda: extract_cv_features(cs.cgg_low)),
-        ("IV low-Vds", lambda: extract_iv_features(cs.ids_low, cfg)),
-        ("IV high-Vds", lambda: extract_iv_features(cs.ids_high, cfg)),
-        ("Gm low-Vds", lambda: extract_gm_features(cs.gm_low())),
-        ("Gm high-Vds", lambda: extract_gm_features(cs.gm_high())),
-    ]
-    values = []
-    for label, fn in parts:
+    for label, check, curve in (("Cgg", _check_cv, cs.cgg_low),
+                                ("IV low-Vds", _check_iv, cs.ids_low),
+                                ("IV high-Vds", _check_iv, cs.ids_high)):
         try:
-            values.append(fn())
+            check(curve)
         except ExtractionError as exc:
             raise ExtractionError(f"{label}: {exc}") from exc
-    vec = np.concatenate(values)
-    _validate_features(vec)
-    return vec
+    cv_fail, iv_fail = [], []
+    cv = _cv_columns(*_rows(cs.cgg_low), cv_fail)
+    # both drain biases in one pass: the low-Vds rows, then the high-Vds rows
+    x_iv, y_iv = _rows(cs.ids_low, cs.ids_high)
+    iv = _iv_columns(x_iv, y_iv, cfg, iv_fail)
+    # Gm lies on the grids of the curves it derives from
+    gm = _gm_columns(x_iv, _stacked_y(cs.gm_low(), cs.gm_high()), [])
+    n = len(cv[0])
+    low, high = slice(0, n), slice(n, 2 * n)
+    iv, gm = np.array(iv), np.array(gm)
+    # one row per feature while checking, (N, 24) once returned
+    by_feature = np.concatenate([np.array(cv), iv[:, low], iv[:, high], gm[:, low], gm[:, high]])
+    finite, positive, ordered = tests = _feature_tests(by_feature)
+    if not (finite.all() and positive.all() and ordered.all()):  # failed rows are NaN
+        checks = [("Cgg: ", bad, reason) for bad, reason in cv_fail]
+        for label, part in (("IV low-Vds: ", low), ("IV high-Vds: ", high)):
+            checks += [(label, bad[part], lambda r, reason=reason, start=part.start: reason(start + r))
+                       for bad, reason in iv_fail]
+        checks += [("", bad, reason) for bad, reason in _feature_checks(by_feature, *tests)]
+        _raise_first(checks)
+    return by_feature[:, 0] if cs.ids_low.y.ndim == 1 else by_feature.T
 
 
-def _validate_features(vec: np.ndarray):
-    if vec.shape != (N_FEATURES,):
-        raise ExtractionError(f"feature vector has shape {vec.shape}, want ({N_FEATURES},)")
-    if not np.all(np.isfinite(vec)):
-        bad = [FEATURE_NAMES[i] for i in np.nonzero(~np.isfinite(vec))[0]]
-        raise ExtractionError(f"non-finite features: {bad}")
-    f = dict(zip(FEATURE_NAMES, vec))
-    for ss in ("SS1", "SS2"):
-        if f[ss] <= 0:
-            raise ExtractionError(f"{ss} must be positive, got {f[ss]}")
-    for ion, ioff in (("Ion1", "Ioff1"), ("Ion2", "Ioff2")):
-        if not f[ion] >= f[ioff] > 0:
-            raise ExtractionError(f"need {ion} >= {ioff} > 0, got {f[ion]}, {f[ioff]}")
-    if f["Cgg_max"] < f["Cgg_min"]:
-        raise ExtractionError("Cgg_max < Cgg_min")
+_POSITIVE = np.array([FEATURE_NAMES.index(n) for n in ("SS1", "SS2", "Ioff1", "Ioff2")])
+_UPPER = np.array([FEATURE_NAMES.index(n) for n in ("Ion1", "Ion2", "Cgg_max")])
+_LOWER = np.array([FEATURE_NAMES.index(n) for n in ("Ioff1", "Ioff2", "Cgg_min")])
+
+
+def _feature_tests(by_feature: np.ndarray) -> tuple:
+    """Per feature row: finite; SS1, SS2, Ioff1, Ioff2 positive; Ion1 >=
+    Ioff1, Ion2 >= Ioff2 and Cgg_max >= Cgg_min."""
+    return (np.isfinite(by_feature), by_feature[_POSITIVE] > 0,
+            by_feature[_UPPER] >= by_feature[_LOWER])
+
+
+def _feature_checks(by_feature: np.ndarray, finite, positive, ordered) -> list:
+    f = dict(zip(FEATURE_NAMES, by_feature))
+    return [
+        (~finite.all(axis=0), lambda r: (
+            f"non-finite features: {[FEATURE_NAMES[j] for j in np.flatnonzero(~finite[:, r])]}")),
+        (~positive[0], lambda r: f"SS1 must be positive, got {f['SS1'][r]}"),
+        (~positive[1], lambda r: f"SS2 must be positive, got {f['SS2'][r]}"),
+        (~(ordered[0] & positive[2]), lambda r: (
+            f"need Ion1 >= Ioff1 > 0, got {f['Ion1'][r]}, {f['Ioff1'][r]}")),
+        (~(ordered[1] & positive[3]), lambda r: (
+            f"need Ion2 >= Ioff2 > 0, got {f['Ion2'][r]}, {f['Ioff2'][r]}")),
+        (~ordered[2], lambda r: "Cgg_max < Cgg_min"),
+    ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,10 @@ LOG_UNIFORM_PARAMS = frozenset({"IOFF0"})
 
 # Minimum separation between the C-V plateau levels, fF.
 CGG_MARGIN_FF = 0.1
+
+# Columns of the C-V plateau levels in a parameter vector or block.
+I_CGGMAX = PARAM_NAMES.index("CGGMAX")
+I_CGGMIN = PARAM_NAMES.index("CGGMIN")
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,25 @@ class ModelParams:
         return ModelParams.from_dict(d)
 
 
+_POSITIVE_COLS = [PARAM_NAMES.index(n) for n in ("IOFF0", "ACV", "VSATV")]
+
+
+def check_param_block(values) -> np.ndarray:
+    """An (N, 14) block of parameter rows in canonical order, as a float
+    array, checked against the ``ModelParams`` invariants on every row.
+    Raises the error ``ModelParams`` raises for the first invalid row."""
+    block = np.asarray(values, dtype=float)
+    if block.ndim != 2 or block.shape[1] != len(PARAM_NAMES):
+        raise InvalidParameterError(
+            f"expected an (N, {len(PARAM_NAMES)}) parameter block, got shape {block.shape}")
+    bad = (~np.isfinite(block).all(axis=1)
+           | (block[:, _POSITIVE_COLS] <= 0).any(axis=1)
+           | (block[:, I_CGGMIN] + CGG_MARGIN_FF > block[:, I_CGGMAX]))
+    if bad.any():
+        ModelParams.from_vector(block[bad.argmax()])
+    return block
+
+
 #: Canonical mid-range device used by demos, docs, and regression tests.
 REFERENCE_PARAMS = ModelParams(
     PHIG=4.45, ETA0=0.10, CIT=0.10, CDSC=0.05, U0=1.0, UA=0.8, VSATV=0.4,
@@ -145,11 +169,20 @@ class ParamRanges:
             if name in LOG_UNIFORM_PARAMS and lo <= 0:
                 raise ConfigError(f"{name} is log-uniform and needs lo > 0, got {lo}")
 
+    @cached_property
+    def _box(self) -> tuple:
+        # the bounds as vectors, built on first use; read-only, as they are shared
+        box = np.array([self.bounds[n] for n in PARAM_NAMES], dtype=float)
+        box.flags.writeable = False
+        return box[:, 0], box[:, 1]
+
     def lo_vector(self) -> np.ndarray:
-        return np.array([self.bounds[n][0] for n in PARAM_NAMES], dtype=float)
+        """Lower bounds in canonical order; a fresh array the caller may change."""
+        return self._box[0].copy()
 
     def hi_vector(self) -> np.ndarray:
-        return np.array([self.bounds[n][1] for n in PARAM_NAMES], dtype=float)
+        """Upper bounds in canonical order; a fresh array the caller may change."""
+        return self._box[1].copy()
 
     def require_nondegenerate(self):
         """Raise unless lo < hi for every parameter."""
@@ -166,11 +199,9 @@ class ParamRanges:
     def clip_vector(self, vec) -> np.ndarray:
         """Clip a flat parameter vector into the box, then restore the C-V
         plateau margin by lowering CGGMIN if needed."""
-        vec = np.clip(np.asarray(vec, dtype=float), self.lo_vector(), self.hi_vector())
-        i_max = PARAM_NAMES.index("CGGMAX")
-        i_min = PARAM_NAMES.index("CGGMIN")
-        if vec[i_min] + CGG_MARGIN_FF > vec[i_max]:
-            vec[i_min] = vec[i_max] - CGG_MARGIN_FF
+        vec = np.clip(np.asarray(vec, dtype=float), *self._box)
+        if vec[I_CGGMIN] + CGG_MARGIN_FF > vec[I_CGGMAX]:
+            vec[I_CGGMIN] = vec[I_CGGMAX] - CGG_MARGIN_FF
         return vec
 
     def clip(self, params: ModelParams) -> ModelParams:

@@ -6,8 +6,9 @@ import numpy as np
 from fetfit.params import DEFAULT_RANGES, LOG_UNIFORM_PARAMS, PARAM_NAMES, ModelParams
 
 
-def sample_params_list(n, seed, ranges=DEFAULT_RANGES):
-    rng = np.random.default_rng(seed)
+def draw_sequential(rng, n, ranges=DEFAULT_RANGES):
+    """n devices drawn one at a time, 14 scalar draws each, redrawing a
+    device whose C-V plateau margin is violated."""
     out = []
     while len(out) < n:
         vals = {}
@@ -21,3 +22,7 @@ def sample_params_list(n, seed, ranges=DEFAULT_RANGES):
             continue
         out.append(ModelParams(**vals))
     return out
+
+
+def sample_params_list(n, seed, ranges=DEFAULT_RANGES):
+    return draw_sequential(np.random.default_rng(seed), n, ranges)

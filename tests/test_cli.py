@@ -208,6 +208,18 @@ def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+def test_gen_threads_setting_is_gone(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"threads": 2}))
+    out = tmp_path / "out"
+    assert main(["gen", "--n", "100", "--seed", "1", "--out", str(out),
+                 "--config", str(cfg_path)]) == 3
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--n", "100", "--seed", "1", "--out", str(out), "--threads", "2"])
+    assert info.value.code == 2
+
+
 def test_nan_train_setting_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"train": {"learning_rate": float("nan")}}))

@@ -1,6 +1,7 @@
 """Dataset generation, normalization, and persistence tests."""
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -18,7 +19,9 @@ from fetfit.dataset import (
 from fetfit.errors import ConfigError, DataError
 from fetfit.features import FEATURE_NAMES, FeatureConfig, featurize
 from fetfit.device import simulate_curveset
-from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, ParamRanges
+from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
+
+from ._sampling import draw_sequential
 
 # sha256 of the n=100, seed=1 dataset CSV, recorded after the first
 # oracle-validated run (self-consistency pin for this implementation).
@@ -88,10 +91,51 @@ def test_build_dataset_deterministic():
     assert np.array_equal(a.split, b.split)
 
 
-def test_build_dataset_threads_match_sequential():
-    a = build_dataset(100, seed=8, threads=1)
-    b = build_dataset(100, seed=8, threads=4)
-    assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+@pytest.mark.parametrize("ranges", [
+    DEFAULT_RANGES,
+    # CGGMAX/CGGMIN overlap, so about half the draws are rejected and redrawn
+    degenerate_ranges({"CGGMAX": [0.6, 0.8], "CGGMIN": [0.45, 0.75]}),
+], ids=["default", "rejecting"])
+def test_sample_params_block_equals_sequential_draws(ranges):
+    rng_block, rng_seq = np.random.default_rng(16), np.random.default_rng(16)
+    block = sample_params(ranges, rng_block, size=300)
+    want = np.array([p.to_vector() for p in draw_sequential(rng_seq, 300, ranges)])
+    assert block.shape == (300, len(PARAM_NAMES))
+    assert np.array_equal(block, want)
+    assert rng_block.uniform() == rng_seq.uniform()  # the stream ends in the same state
+
+
+def test_sample_params_single_is_a_block_of_one():
+    p = sample_params(DEFAULT_RANGES, np.random.default_rng(17))
+    want = draw_sequential(np.random.default_rng(17), 1)[0]
+    assert p == want
+
+
+def test_sample_params_block_incompatible_margin_errors():
+    ranges = degenerate_ranges({"CGGMAX": [0.6, 0.61], "CGGMIN": [0.55, 0.59]})
+    with pytest.raises(ConfigError, match="100 draws in a row"):
+        sample_params(ranges, np.random.default_rng(18), size=50)
+
+
+def test_featurize_block_equals_single_devices():
+    block = sample_params(DEFAULT_RANGES, np.random.default_rng(19), size=500)
+    X = featurize(simulate_curveset(block), FeatureConfig())
+    rows = [featurize(simulate_curveset(ModelParams.from_vector(p)), FeatureConfig())
+            for p in block]
+    assert X.shape == (500, len(FEATURE_NAMES))
+    assert np.array_equal(X, np.array(rows))
+
+
+def test_build_dataset_names_first_failing_device_and_count():
+    # a leakage floor above i_crit: every device's low-Vds curve starts above it
+    ranges = degenerate_ranges({"IOFF0": [2e-7, 3e-7]})
+    with pytest.raises(DataError) as info:
+        build_dataset(300, seed=20, ranges=ranges)
+    msg = str(info.value)
+    assert "featurize failed for 300 of 300 sampled devices" in msg
+    first = sample_params(ranges, np.random.default_rng(20))
+    assert json.dumps(first.to_dict()) in msg
+    assert re.search(r"IV low-Vds: Vth: curve starts at \S+ A, already above i_crit", msg)
 
 
 def test_build_dataset_rejects_small_n():

@@ -128,6 +128,33 @@ def test_simulate_curveset_checks_values(changes):
         simulate_curveset(REFERENCE_PARAMS.replace(**changes))
 
 
+def test_simulate_block_rows_equal_single_devices():
+    ps = sample_params_list(50, seed=13)
+    block = simulate_curveset(np.array([p.to_vector() for p in ps]))
+    for name in ("ids_low", "ids_high", "cgg_low"):
+        curve = getattr(block, name)
+        assert curve.y.shape == (50, len(curve.x))
+        assert curve.x is getattr(simulate_curveset(REFERENCE_PARAMS), name).x
+    for i, p in enumerate(ps):
+        cs = simulate_curveset(p)
+        for name in ("ids_low", "ids_high", "cgg_low"):
+            assert np.array_equal(getattr(block, name).y[i], getattr(cs, name).y)
+        assert np.array_equal(block.gm_high().y[i], cs.gm_high().y)
+        assert np.array_equal(differentiate(block.ids_low, 2).y[i], differentiate(cs.ids_low, 2).y)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda b: b[:, :13], "parameter block"),
+    (lambda b: b[0], "parameter block"),
+    (lambda b: np.where(np.arange(14) == PARAM_NAMES.index("ACV"), -0.1, b), "ACV must be > 0"),
+    (lambda b: np.where(np.arange(14) == PARAM_NAMES.index("PHIG"), np.nan, b), "PHIG must be finite"),
+], ids=["columns", "one-dimensional", "invariant", "non-finite"])
+def test_simulate_block_checks_rows(bad, match):
+    block = np.array([p.to_vector() for p in sample_params_list(3, seed=14)])
+    with pytest.raises(InvalidParameterError, match=match):
+        simulate_curveset(bad(block))
+
+
 def test_simulate_ids_vds():
     curves = simulate_ids_vds(REFERENCE_PARAMS, [0.5, 0.6, 0.7])
     assert len(curves) == 3

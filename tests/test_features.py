@@ -17,7 +17,7 @@ from fetfit.features import (
     trapz,
     vth_constant_current,
 )
-from fetfit.params import REFERENCE_PARAMS
+from fetfit.params import REFERENCE_PARAMS, ModelParams
 
 from . import _oracles
 from ._sampling import sample_params_list
@@ -235,6 +235,35 @@ def test_extraction_error_names_feature():
     from fetfit.device import CurveSet
     with pytest.raises(ExtractionError, match="IV low-Vds"):
         featurize(CurveSet(ids_low=bad, ids_high=cs.ids_high, cgg_low=cs.cgg_low), CFG)
+
+
+def test_block_failure_names_first_row_and_lists_all():
+    ps = sample_params_list(6, seed=22)
+    block = np.array([p.to_vector() for p in ps])
+    i_ioff = list(REFERENCE_PARAMS.to_dict()).index("IOFF0")
+    block[[2, 4], i_ioff] = [2e-7, 5e-7]  # leakage above i_crit
+    with pytest.raises(ExtractionError) as single:
+        featurize(simulate_curveset(ModelParams.from_vector(block[2])), CFG)
+    with pytest.raises(ExtractionError) as batch:
+        featurize(simulate_curveset(block), CFG)
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith("IV low-Vds: Vth: curve starts at")
+    assert list(batch.value.rows) == [2, 4]
+
+
+def test_curve_functions_work_per_row():
+    ps = sample_params_list(4, seed=23)
+    block = simulate_curveset(np.array([p.to_vector() for p in ps]))
+    vth = vth_constant_current(block.ids_high, CFG.i_crit)
+    iv = extract_iv_features(block.ids_low, CFG)
+    cv = extract_cv_features(block.cgg_low)
+    gm = extract_gm_features(block.gm_low())
+    for i, p in enumerate(ps):
+        cs = simulate_curveset(p)
+        assert vth[i] == vth_constant_current(cs.ids_high, CFG.i_crit)
+        assert np.array_equal(iv[i], extract_iv_features(cs.ids_low, CFG))
+        assert np.array_equal(cv[i], extract_cv_features(cs.cgg_low))
+        assert np.array_equal(gm[i], extract_gm_features(cs.gm_low()))
 
 
 def test_feature_config_validation():
