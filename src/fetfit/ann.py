@@ -351,9 +351,7 @@ def predict_params(w: MLPWeights, norm: Normalizer, fv,
     out = forward(w, norm.normalize_features(fv))
     vec = norm.denormalize_params(out)
     if ranges is None:
-        ranges = ParamRanges.from_dict(
-            {n: [lo, hi] for n, lo, hi in zip(PARAM_NAMES, norm.param_lo, norm.param_hi)}
-        )
+        ranges = norm.param_ranges
     return ModelParams.from_vector(ranges.clip_vector(vec))
 
 

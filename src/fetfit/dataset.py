@@ -16,6 +16,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,6 +170,12 @@ class Normalizer:
 
     def denormalize_params(self, Yn) -> np.ndarray:
         return np.asarray(Yn, dtype=float) * (self.param_hi - self.param_lo) + self.param_lo
+
+    @cached_property
+    def param_ranges(self) -> ParamRanges:
+        """``param_lo``/``param_hi`` as ``ParamRanges``, built on first use."""
+        return ParamRanges(bounds={n: (float(lo), float(hi)) for n, lo, hi
+                                   in zip(PARAM_NAMES, self.param_lo, self.param_hi)})
 
     def to_dict(self) -> dict:
         return {

@@ -22,9 +22,9 @@ bit-identical to simulating each device alone.
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -218,8 +218,8 @@ def ids(params: ModelParams, vgs, vds):
 
 
 def _ids(p, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
-    # p is a ModelParams, or a block's parameter columns (see _columns),
-    # which broadcast against vgs and vds
+    # p is a ModelParams or a _Params: one device's values as Python floats,
+    # or a block's parameter columns, which broadcast against vgs and vds
     n = 1.0 + p.CIT + p.CDSC * (1.0 + vds)
     vth = (p.PHIG - WORKFUNC_REF) - p.ETA0 * vds
     nvt = n * THERMAL_V
@@ -249,11 +249,21 @@ def _cgg(p, vgs: np.ndarray) -> np.ndarray:
     return p.CGGMIN + (p.CGGMAX - p.CGGMIN) * sigma
 
 
-def _columns(block) -> SimpleNamespace:
+#: The 14 parameters by name, as ``_ids`` and ``_cgg`` read them.
+_Params = namedtuple("_Params", PARAM_NAMES)
+
+
+def _columns(block) -> _Params:
     """The parameters of an (N, 14) block by name, as (N, 1, 1) columns
     that broadcast against the (drain bias, gate bias) grids."""
-    block = check_param_block(block)
-    return SimpleNamespace(**dict(zip(PARAM_NAMES, block.T[:, :, None, None])))
+    return _Params._make(check_param_block(block).T[:, :, None, None])
+
+
+def _simulate(p) -> tuple:
+    """Unchecked values of the stored curves: Ids on the ``_IV_VDS`` drain
+    biases, (..., 2, npts) on ``IV_X``, and Cgg, (..., npts) on ``CV_X``."""
+    iv = _ids(p, IV_X, _IV_VDS)
+    return iv, _cgg(p, CV_X).reshape(iv.shape[:-2] + CV_X.shape)
 
 
 def simulate_curveset(params) -> CurveSet:
@@ -265,9 +275,7 @@ def simulate_curveset(params) -> CurveSet:
     read-only grids. Both evaluate the same expressions, so row i of a block
     is bit-identical to simulating row i alone.
     """
-    p = params if isinstance(params, ModelParams) else _columns(params)
-    iv = _ids(p, IV_X, _IV_VDS)
-    cv = _cgg(p, CV_X).reshape(iv.shape[:-2] + CV_X.shape)
+    iv, cv = _simulate(params if isinstance(params, ModelParams) else _columns(params))
     return CurveSet(
         ids_low=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[..., 0, :], vds=VDS_LOW),
         ids_high=Curve._on_checked_grid(CurveKind.IDS_VGS, IV_X, iv[..., 1, :], vds=VDS_HIGH),

@@ -116,7 +116,9 @@ class ModelParams:
         return ModelParams.from_dict(d)
 
 
-_POSITIVE_COLS = [PARAM_NAMES.index(n) for n in ("IOFF0", "ACV", "VSATV")]
+# Parameters that ModelParams requires to be strictly positive.
+POSITIVE_PARAMS = ("IOFF0", "ACV", "VSATV")
+_POSITIVE_COLS = [PARAM_NAMES.index(n) for n in POSITIVE_PARAMS]
 
 
 def check_param_block(values) -> np.ndarray:
@@ -149,7 +151,9 @@ class ParamRanges:
 
     All parameters are drawn uniformly except those in ``LOG_UNIFORM_PARAMS``
     (log-uniform). ``lo == hi`` is allowed and yields a constant; dataset
-    generation and normalizer fitting additionally require ``lo < hi``.
+    generation and normalizer fitting additionally require ``lo < hi``. The
+    ``POSITIVE_PARAMS`` need ``lo > 0``, so the vectors ``clip_vector``
+    returns keep them positive, as ``ModelParams`` requires.
     """
 
     bounds: dict = field(default_factory=dict)
@@ -168,6 +172,8 @@ class ParamRanges:
                 raise ConfigError(f"{name} bounds inverted: ({lo}, {hi})")
             if name in LOG_UNIFORM_PARAMS and lo <= 0:
                 raise ConfigError(f"{name} is log-uniform and needs lo > 0, got {lo}")
+            if name in POSITIVE_PARAMS and lo <= 0:
+                raise ConfigError(f"{name} must be positive and needs lo > 0, got {lo}")
 
     @cached_property
     def _box(self) -> tuple:
@@ -199,7 +205,9 @@ class ParamRanges:
     def clip_vector(self, vec) -> np.ndarray:
         """Clip a flat parameter vector into the box, then restore the C-V
         plateau margin by lowering CGGMIN if needed."""
-        vec = np.clip(np.asarray(vec, dtype=float), *self._box)
+        lo, hi = self._box
+        # the ufuncs np.clip stands for, without its Python-level dispatch
+        vec = np.minimum(np.maximum(np.asarray(vec, dtype=float), lo), hi)
         if vec[I_CGGMIN] + CGG_MARGIN_FF > vec[I_CGGMAX]:
             vec[I_CGGMIN] = vec[I_CGGMAX] - CGG_MARGIN_FF
         return vec

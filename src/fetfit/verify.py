@@ -5,10 +5,17 @@ relative RMS percentages (normalized by the target's own RMS so the metric
 is scale-invariant); subthreshold quality is scored on log10 current. Also
 provides a derivative-free simplex fit over the same curves as a baseline
 for wall-time comparisons.
+
+The simplex scores each evaluation on raw arrays, so its checks run where
+they are needed. The ranges and the evaluation budget are checked at entry.
+The target's grids and norms are checked once per fit, when the start point
+is scored with ``direct_fit_objective``. Every evaluation checks only its
+simulated values.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,10 +24,12 @@ from scipy.optimize import minimize
 
 from .ann import MLPWeights, predict_params
 from .dataset import Normalizer
-from .device import Curve, CurveSet, apply_knobs, differentiate, simulate_curveset, ProcessKnobs
+from .device import (Curve, CurveSet, ProcessKnobs, _Params, _simulate, apply_knobs,
+                     simulate_curveset)
 from .errors import DataError
 from .features import FeatureConfig, featurize
-from .params import LOG_UNIFORM_PARAMS, PARAM_NAMES, ModelParams, ParamRanges
+from .params import (CGG_MARGIN_FF, I_CGGMAX, I_CGGMIN, LOG_UNIFORM_PARAMS, PARAM_NAMES,
+                     ModelParams, ParamRanges)
 
 #: Labels and accessors for the five reported curves, in report order.
 REPORT_CURVES = ("cgg", "ids_low", "ids_high", "gm_low", "gm_high")
@@ -56,14 +65,22 @@ def _require_same_grid(pred: Curve, target: Curve, caller: str):
         raise DataError(f"{caller}: curve grids do not match")
 
 
+def _norm(y: np.ndarray) -> float:
+    norm = math.sqrt((y * y).sum())
+    if norm == 0:
+        raise DataError("rms_percent: target curve is identically zero")
+    return norm
+
+
+def _rms_term(d: np.ndarray, norm: float) -> float:
+    # math.sqrt and np.sqrt are both correctly rounded, so either gives these bits
+    return 100.0 * math.sqrt((d * d).sum()) / norm
+
+
 def rms_percent(pred: Curve, target: Curve) -> float:
     """100 * ||pred - target|| / ||target|| over the shared grid."""
     _require_same_grid(pred, target, "rms_percent")
-    d = pred.y - target.y
-    denom = np.sqrt((target.y * target.y).sum())
-    if denom == 0:
-        raise DataError("rms_percent: target curve is identically zero")
-    return float(100.0 * np.sqrt((d * d).sum()) / denom)
+    return _rms_term(pred.y - target.y, _norm(target.y))
 
 
 def subthreshold_rms_percent(pred: Curve, target: Curve, i_crit: float) -> float:
@@ -245,23 +262,23 @@ _LOG_MASK = np.array([name in LOG_UNIFORM_PARAMS for name in PARAM_NAMES])
 
 
 def _log_box(ranges: ParamRanges) -> tuple:
-    """(lo, hi) of the ranges, with the log-uniform entries as logarithms."""
+    """(lo, hi - lo) of the ranges, with the log-uniform entries as logarithms."""
     lo, hi = ranges.lo_vector(), ranges.hi_vector()
     lo[_LOG_MASK] = np.log(lo[_LOG_MASK])
     hi[_LOG_MASK] = np.log(hi[_LOG_MASK])
-    return lo, hi
+    return lo, hi - lo
 
 
 def _to_unit_box(vec: np.ndarray, box: tuple) -> np.ndarray:
-    lo, hi = box
+    lo, span = box
     z = vec.copy()
     z[_LOG_MASK] = np.log(z[_LOG_MASK])
-    return (z - lo) / (hi - lo)
+    return (z - lo) / span
 
 
 def _from_unit_box(u: np.ndarray, box: tuple, ranges: ParamRanges) -> np.ndarray:
-    lo, hi = box
-    z = lo + np.clip(u, 0.0, 1.0) * (hi - lo)
+    lo, span = box
+    z = lo + np.minimum(np.maximum(u, 0.0), 1.0) * span
     z[_LOG_MASK] = np.exp(z[_LOG_MASK])
     return ranges.clip_vector(z)
 
@@ -274,36 +291,71 @@ def direct_fit_objective(params: ModelParams, target: CurveSet) -> float:
             + rms_percent(cs.cgg_low, target.cgg_low))
 
 
+def _vector_objective(target: CurveSet):
+    """``direct_fit_objective`` against ``target`` as a function of a
+    parameter vector from ``ParamRanges.clip_vector``, bit for bit. The
+    target's arrays and norms are prepared once; its grids must already
+    have passed ``rms_percent``. Each call checks the simulated values and
+    raises what ``ModelParams`` and ``simulate_curveset`` raise."""
+    t_low, t_high, t_cgg = target.ids_low.y, target.ids_high.y, target.cgg_low.y
+    n_low, n_high, n_cgg = _norm(t_low), _norm(t_high), _norm(t_cgg)
+
+    def objective(vec: np.ndarray) -> float:
+        vals = vec.tolist()
+        # the ModelParams invariants that clip_vector does not already ensure
+        if not (math.isfinite(sum(vals)) and vals[I_CGGMIN] + CGG_MARGIN_FF <= vals[I_CGGMAX]):
+            ModelParams.from_vector(vec)  # raises its own error
+        iv, cv = _simulate(_Params._make(vals))
+        obj = (_rms_term(iv[0] - t_low, n_low) + _rms_term(iv[1] - t_high, n_high)
+               + _rms_term(cv - t_cgg, n_cgg))
+        # simulate_curveset's value checks in one pass: a min is NaN if any
+        # value is, and an infinite value makes obj infinite. On a failure
+        # they run again to raise their own error; finite values whose
+        # squares overflow pass them and leave obj infinite, as before.
+        if not (iv.min() > 0.0 and cv.min() > 0.0 and math.isfinite(obj)):
+            simulate_curveset(ModelParams.from_vector(vec))
+        return obj
+
+    return objective
+
+
 def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
                max_evals: int = DIRECT_FIT_MAX_EVALS) -> ModelParams:
     """Classical extraction baseline: derivative-free simplex descent on the
     summed curve errors, box-constrained to the ranges by clipping.
 
     The best parameter set evaluated is returned, so the objective at the
-    result never exceeds the objective at ``init``.
+    result never exceeds the objective at ``init``. ``ranges`` and
+    ``max_evals`` (an int >= 1) are checked at entry. Scoring ``init`` with
+    ``direct_fit_objective`` checks the target's grids and norms once. Each
+    later evaluation maps the simplex point to a parameter vector and checks
+    only its simulated values; one ``ModelParams`` is built on return.
     """
+    if (isinstance(max_evals, bool) or not isinstance(max_evals, (int, np.integer))
+            or max_evals < 1):
+        raise ValueError(f"max_evals must be an int >= 1, got {max_evals!r}")
     ranges.require_nondegenerate()
-    box = _log_box(ranges)
-    best = {"obj": direct_fit_objective(init, target), "params": init, "evals": 1}
-    if best["obj"] == 0.0:
+    best_obj = direct_fit_objective(init, target)
+    if best_obj == 0.0:
         return init
+    box = _log_box(ranges)
+    objective = _vector_objective(target)
+    best_vec, evals = None, 1
 
-    def objective(u):
-        if best["evals"] >= max_evals:
-            return best["obj"]  # budget exhausted; keep the simplex stationary
-        vec = _from_unit_box(np.asarray(u, dtype=float), box, ranges)
-        p = ModelParams.from_vector(vec)
-        obj = direct_fit_objective(p, target)
-        best["evals"] += 1
-        if obj < best["obj"]:
-            best["obj"] = obj
-            best["params"] = p
+    def simplex_objective(u):
+        nonlocal best_obj, best_vec, evals
+        if evals >= max_evals:
+            return best_obj  # budget exhausted; keep the simplex stationary
+        vec = _from_unit_box(u, box, ranges)
+        obj = objective(vec)
+        evals += 1
+        if obj < best_obj:
+            best_obj, best_vec = obj, vec
         return obj
 
-    u0 = _to_unit_box(init.to_vector(), box)
     minimize(
-        objective, u0, method="Nelder-Mead",
+        simplex_objective, _to_unit_box(init.to_vector(), box), method="Nelder-Mead",
         bounds=[(0.0, 1.0)] * len(PARAM_NAMES),
         options={"maxfev": max_evals, "xatol": 1e-6, "fatol": 1e-8, "adaptive": True},
     )
-    return best["params"]
+    return init if best_vec is None else ModelParams.from_vector(best_vec)

@@ -25,7 +25,7 @@ from fetfit.ann import (
 )
 from fetfit.dataset import Dataset, Normalizer, build_dataset, fit_normalizer
 from fetfit.errors import ConfigError, DataError, InvalidParameterError
-from fetfit.params import DEFAULT_RANGES, PARAM_NAMES
+from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
 
 
 def small_weights(widths, seed=0):
@@ -272,6 +272,23 @@ def test_predict_params_clips_to_ranges():
     assert p.CGGMIN + 0.1 <= p.CGGMAX
     # purity
     assert predict_params(w, norm, fv) == p
+
+
+def test_predict_params_builds_the_normalizer_ranges_once():
+    ds = tiny_dataset(n=120, seed=16)
+    norm = identity_norm(ds)
+    assert norm.param_ranges is norm.param_ranges
+    rebuilt = ParamRanges.from_dict(
+        {n: [lo, hi] for n, lo, hi in zip(PARAM_NAMES, norm.param_lo, norm.param_hi)})
+    assert norm.param_ranges == rebuilt
+    w = init_weights(MLPConfig(seed=4))
+    for arr in w.W:
+        arr *= 30.0  # wild outputs, so most parameters are clipped
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        fv = rng.normal(size=24) * 5
+        vec = norm.denormalize_params(forward(w, norm.normalize_features(fv)))
+        assert predict_params(w, norm, fv) == ModelParams.from_vector(rebuilt.clip_vector(vec))
 
 
 def test_predict_params_rejects_bad_input():

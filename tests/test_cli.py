@@ -208,6 +208,19 @@ def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+@pytest.mark.parametrize("name", ["ACV", "VSATV"])
+def test_gen_nonpositive_range_of_positive_param_exits_3(tmp_path, capsys, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ranges": {name: [0.0, 0.15]}}))
+    out = tmp_path / "out"
+    assert main(["gen", "--n", "100", "--seed", "1", "--out", str(out),
+                 "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fetfit: error: ConfigError: ") and name in err
+    assert err.count("\n") == 1
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_gen_threads_setting_is_gone(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"threads": 2}))

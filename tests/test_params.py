@@ -1,0 +1,26 @@
+"""Parameter set and sampling-range tests."""
+
+import numpy as np
+import pytest
+
+from fetfit.errors import ConfigError
+from fetfit.params import DEFAULT_RANGES, POSITIVE_PARAMS, ModelParams, ParamRanges
+
+
+@pytest.mark.parametrize("name", POSITIVE_PARAMS)
+@pytest.mark.parametrize("lo", [0.0, -0.1])
+def test_ranges_reject_nonpositive_lower_bound_of_positive_params(name, lo):
+    bounds = {**DEFAULT_RANGES.to_dict(), name: [lo, DEFAULT_RANGES.bounds[name][1]]}
+    with pytest.raises(ConfigError, match=name):
+        ParamRanges.from_dict(bounds)
+
+
+def test_clip_vector_meets_model_params_invariants():
+    """Every finite vector clipped into a valid box is a valid ModelParams,
+    including vectors whose C-V plateaus need the margin repair."""
+    ranges = ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), "CGGMIN": [0.05, 1.0]})
+    lo, hi = ranges.lo_vector(), ranges.hi_vector()
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        vec = ranges.clip_vector(lo + rng.uniform(-0.5, 1.5, size=lo.size) * (hi - lo))
+        ModelParams.from_vector(vec)

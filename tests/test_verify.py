@@ -1,13 +1,16 @@
 """Verification metric and round-trip tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import fetfit.verify
 from fetfit.dataset import build_dataset, fit_normalizer
 from fetfit.device import Curve, CurveKind, IV_GRID_LOW, simulate_curveset
-from fetfit.errors import DataError
+from fetfit.errors import DataError, InvalidParameterError
 from fetfit.ann import MLPConfig, TrainConfig, train
-from fetfit.params import DEFAULT_RANGES, REFERENCE_PARAMS, ModelParams
+from fetfit.params import DEFAULT_RANGES, REFERENCE_PARAMS, ModelParams, ParamRanges
 from fetfit.verify import (
     REPORT_CURVES,
     aggregate_curve_errors,
@@ -173,3 +176,87 @@ def test_direct_fit_golden():
     init = ModelParams.from_vector(DEFAULT_RANGES.clip_vector((lo + hi) / 2))
     out = direct_fit(target, DEFAULT_RANGES, init, max_evals=300).to_vector()
     assert [v.hex() for v in out] == list(GOLDEN_DIRECT_FIT_32)
+
+
+# the same fit with the full 2,000-evaluation budget, recorded as float.hex
+# before the simplex evaluations ran on parameter vectors
+GOLDEN_DIRECT_FIT_32_FULL_BUDGET = (
+    "0x1.1637aeac57ad0p+2", "0x1.e1eda126104d6p-4", "0x1.38018623ba232p-4",
+    "0x1.7e088535d2ff5p-4", "0x1.2be9270753c34p+0", "0x1.7fc264f15b3a0p+0",
+    "0x1.dddb5a63243b0p-2", "0x1.5a66c114eaaf7p-3", "0x1.00204ec001fc2p+8",
+    "0x1.9eb82a05f7f7ep-29", "0x1.c544b7fd09868p-1", "0x1.11ca84bf920dfp-2",
+    "0x1.5cb8e88937f20p-6", "0x1.21402579ad6d2p-3",
+)
+
+
+def test_direct_fit_full_budget_golden():
+    target = simulate_curveset(sample_params_list(1, seed=32)[0])
+    lo, hi = DEFAULT_RANGES.lo_vector(), DEFAULT_RANGES.hi_vector()
+    init = ModelParams.from_vector(DEFAULT_RANGES.clip_vector((lo + hi) / 2))
+    out = direct_fit(target, DEFAULT_RANGES, init).to_vector()
+    assert [v.hex() for v in out] == list(GOLDEN_DIRECT_FIT_32_FULL_BUDGET)
+
+
+@pytest.mark.parametrize("max_evals", [-5, 0, 2.5, True])
+def test_direct_fit_rejects_bad_max_evals(max_evals):
+    target = simulate_curveset(REFERENCE_PARAMS)
+    with pytest.raises(ValueError, match="max_evals"):
+        direct_fit(target, DEFAULT_RANGES, REFERENCE_PARAMS, max_evals=max_evals)
+
+
+def test_simplex_evaluations_equal_the_curve_errors(monkeypatch):
+    """The objective the simplex sees at a point is exactly the sum of the
+    three rms_percent terms of that point's simulated curves, and equals
+    direct_fit_objective there: 200 points, many outside the unit box, in
+    ranges whose C-V plateaus overlap, so clipping and the margin repair run."""
+    ranges = ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), "CGGMIN": [0.05, 1.0]})
+    target = simulate_curveset(sample_params_list(1, seed=41)[0])
+    far = REFERENCE_PARAMS.replace(CGGMAX=1e6)  # every other point improves on it
+    rng = np.random.default_rng(40)
+    seen, repaired = [], 0
+
+    def one_evaluation(fun, u0, **kwargs):
+        seen.append(fun(rng.uniform(-0.3, 1.3, size=u0.shape)))
+
+    monkeypatch.setattr(fetfit.verify, "minimize", one_evaluation)
+    for _ in range(200):
+        p = direct_fit(target, ranges, far, max_evals=2)
+        cs = simulate_curveset(p)
+        want = (rms_percent(cs.ids_low, target.ids_low)
+                + rms_percent(cs.ids_high, target.ids_high)
+                + rms_percent(cs.cgg_low, target.cgg_low))
+        assert p != far and ranges.contains(p)
+        repaired += p.CGGMIN == p.CGGMAX - 0.1
+        assert seen[-1] == want
+        assert direct_fit_objective(p, target) == want
+    assert len(seen) == 200 and repaired > 10, repaired
+
+
+@pytest.mark.parametrize("curve", ["ids_low", "ids_high", "cgg_low"])
+def test_direct_fit_checks_target_grid_before_the_simplex(monkeypatch, curve):
+    target = simulate_curveset(sample_params_list(1, seed=32)[0])
+    c = getattr(target, curve)
+    shifted = dataclasses.replace(
+        target, **{curve: Curve(c.kind, c.x + 0.01, c.y, vds=c.vds)})
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(fetfit.verify, "minimize", no_simplex)
+    with pytest.raises(DataError, match="curve grids do not match"):
+        direct_fit(shifted, DEFAULT_RANGES, REFERENCE_PARAMS)
+
+
+@pytest.mark.parametrize("point, error, message", [
+    (np.nan, InvalidParameterError, "must be finite"),
+    (0.0, ValueError, "CggVgs values must be strictly positive"),
+], ids=["non-finite-point", "negative-cgg"])
+def test_simplex_evaluation_raises_the_model_checks_errors(monkeypatch, point, error, message):
+    """An evaluation whose parameters or curves are invalid raises what
+    ModelParams and simulate_curveset raise; here CGGMIN may go negative."""
+    ranges = ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), "CGGMIN": [-0.5, 0.45]})
+    target = simulate_curveset(REFERENCE_PARAMS)
+    monkeypatch.setattr(fetfit.verify, "minimize",
+                        lambda fun, u0, **kwargs: fun(np.full(u0.shape, point)))
+    with pytest.raises(error, match=message):
+        direct_fit(target, ranges, REFERENCE_PARAMS.replace(CGGMIN=0.3))
