@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, Normalizer
-from .errors import ConfigError, DataError, InvalidParameterError, TrainingDivergedError
+from .errors import (ConfigError, DataError, InvalidParameterError, TrainingDivergedError,
+                     read_text)
 from .features import N_FEATURES
 from .params import PARAM_NAMES, ModelParams, ParamRanges
 
@@ -375,10 +376,12 @@ def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):
 def load_model(path):
     """Returns (weights, normalizer, config)."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not a valid model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a model file: the document is a JSON "
+                        f"{type(doc).__name__}, not an object")
     if doc.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: unrecognized format {doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:
@@ -386,14 +389,20 @@ def load_model(path):
             f"{path}: model version {doc.get('version')!r} unsupported "
             f"(expected {MODEL_VERSION})"
         )
-    mcfg = MLPConfig(widths=tuple(doc["mlp"]["widths"]), activation=doc["mlp"]["activation"],
-                     init=doc["mlp"]["init"], seed=int(doc["mlp"]["seed"]))
-    norm = Normalizer.from_dict(doc["normalizer"])
-    layers = doc["layers"]
-    if len(layers) != len(mcfg.widths) - 1:
-        raise DataError(f"{path}: expected {len(mcfg.widths) - 1} layers, got {len(layers)}")
-    W = [np.array(l["W"], dtype=float) for l in layers]
-    b = [np.array(l["b"], dtype=float) for l in layers]
+    missing = [key for key in ("mlp", "normalizer", "layers") if key not in doc]
+    if missing:
+        raise DataError(f"{path}: model file lacks {', '.join(map(repr, missing))}")
+    try:
+        mcfg = MLPConfig(widths=tuple(doc["mlp"]["widths"]), activation=doc["mlp"]["activation"],
+                         init=doc["mlp"]["init"], seed=int(doc["mlp"]["seed"]))
+        norm = Normalizer.from_dict(doc["normalizer"])
+        layers = doc["layers"]
+        if len(layers) != len(mcfg.widths) - 1:
+            raise DataError(f"{path}: expected {len(mcfg.widths) - 1} layers, got {len(layers)}")
+        W = [np.array(l["W"], dtype=float) for l in layers]
+        b = [np.array(l["b"], dtype=float) for l in layers]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
     w = MLPWeights(W, b)
     if w.widths != mcfg.widths:
         raise DataError(f"{path}: layer shapes {w.widths} disagree with config {mcfg.widths}")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import ann, curve_io, dataset, svg, verify
 from .device import CurveKind, simulate_curveset, simulate_ids_vds
-from .errors import ConfigError, DataError, FetfitError
+from .errors import ConfigError, DataError, FetfitError, read_text
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
 
@@ -75,8 +75,7 @@ def load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        cfg = json.loads(read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -164,8 +163,7 @@ def echo_config(out: Outputs, command: str, cfg: dict, extras: dict):
 
 def read_params_file(path) -> ModelParams:
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

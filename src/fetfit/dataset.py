@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .device import simulate_curveset
-from .errors import ConfigError, DataError, ExtractionError
+from .errors import ConfigError, DataError, ExtractionError, read_text
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import (
     CGG_MARGIN_FF,
@@ -239,8 +239,7 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("# meta "):
         raise DataError(f"{path}: missing '# meta' header line")
     try:

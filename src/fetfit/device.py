@@ -6,11 +6,11 @@ on fixed voltage grids. All functions here are pure; equal inputs produce
 bit-identical outputs.
 
 Curves are validated where they enter the program: the public ``Curve``
-constructor, which the curve-CSV reader uses, checks the grid (strictly
-increasing and uniform) and the values. Simulated and derived curves skip
-the grid check. They reuse a grid that was checked once: the read-only
-module grids built at import, or the ``x`` of the curve they derive from.
-Their values are still checked.
+constructor checks the grid (strictly increasing and uniform) and the
+values. Simulated and derived curves, and curves read from a file whose
+grid equals a default sweep, skip the grid check. They reuse a grid that was
+checked once: the read-only module grids built at import, or the ``x`` of
+the curve they derive from. Their values are still checked.
 
 The simulator is batch-first. ``simulate_curveset`` takes one ``ModelParams``
 or an (N, 14) block of parameter rows; for a block every curve holds an
@@ -106,8 +106,9 @@ class Curve:
 
     The constructor checks everything: ``x`` strictly increasing and uniform,
     ``y`` finite and, for Ids and Cgg, strictly positive. Curves made by
-    ``simulate_curveset`` and ``differentiate`` check ``y`` only, because
-    their ``x`` is a read-only module grid or the ``x`` of an existing curve.
+    ``simulate_curveset`` and ``differentiate``, and curves read on a default
+    sweep, check ``y`` only, because their ``x`` is a read-only module grid or
+    the ``x`` of an existing curve.
     """
 
     kind: CurveKind

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader that
+reports an undecodable file as one of them."""
 
 
 class FetfitError(Exception):
@@ -32,3 +33,13 @@ class DataError(FetfitError):
 
 class TrainingDivergedError(FetfitError):
     """Training aborted because the validation loss became non-finite."""
+
+
+def read_text(path, error=DataError) -> str:
+    """Text of the UTF-8 file at ``path``; a file that does not decode
+    raises ``error`` with a message naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc

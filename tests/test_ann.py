@@ -351,3 +351,24 @@ def test_model_load_rejects_bad_files(tmp_path):
     truncated.write_text(path.read_text()[:200])
     with pytest.raises(DataError):
         load_model(truncated)
+
+    top_level_list = tmp_path / "list.json"
+    top_level_list.write_text(json.dumps([doc]))
+    with pytest.raises(DataError, match="not a model file"):
+        load_model(top_level_list)
+
+    for key in ("mlp", "normalizer", "layers"):
+        partial = json.loads(path.read_text())
+        del partial[key]
+        no_section = tmp_path / f"no_{key}.json"
+        no_section.write_text(json.dumps(partial))
+        with pytest.raises(DataError, match=f"model file lacks '{key}'"):
+            load_model(no_section)
+
+    for key, value in (("mlp", {}), ("layers", [{"W": [[0.0]]}] * 5), ("normalizer", [])):
+        malformed = json.loads(path.read_text())
+        malformed[key] = value
+        bad_section = tmp_path / f"bad_{key}.json"
+        bad_section.write_text(json.dumps(malformed))
+        with pytest.raises(DataError, match="malformed model file"):
+            load_model(bad_section)

@@ -176,6 +176,27 @@ def test_missing_file_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("reader", ["curve-csv", "model", "dataset", "config", "params"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, trained_dirs, reader):
+    model = str(trained_dirs[1] / "model.json")
+    curves = tmp_path / "device0"
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), curves)
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+    path, error, argv = {
+        "curve-csv": (curves / "ids_vgs_low.csv", "DataError",
+                      ["features", "--curves", str(curves)]),
+        "model": (bad, "DataError", ["extract", "--curves", str(curves), "--model", str(bad)]),
+        "dataset": (bad, "DataError", ["train", "--data", str(bad)]),
+        "config": (bad, "ConfigError", ["gen", "--n", "10", "--seed", "1", "--config", str(bad)]),
+        "params": (bad, "DataError", ["verify", "--params", str(bad), "--model", model]),
+    }[reader]
+    path.write_bytes((path.read_bytes() if path.exists() else b"{}\n").replace(b"\n", b"\xff\n", 1))
+    assert main(argv + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"fetfit: error: {error}: {path}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--n", "100"])  # missing --seed/--out
