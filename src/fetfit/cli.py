@@ -362,8 +362,14 @@ def cmd_verify(args) -> int:
         else:
             true_params = None
             target = curve_io.read_curveset_dir(args.curves)
-        report = verify.round_trip(target, w, norm, true_params=true_params,
-                                   cfg=fcfg, ranges=ranges)
+        try:
+            report = verify.round_trip(target, w, norm, true_params=true_params,
+                                       cfg=fcfg, ranges=ranges)
+        except DataError as exc:
+            if args.params:
+                raise
+            # such as a grid the reader did not put on a default sweep
+            raise DataError(f"{args.curves}: {exc}") from exc
         with open(out.path("report.json"), "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")

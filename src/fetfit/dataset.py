@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy imports its random module on first use, about 14 ms; load it with the
+# package so that the first corpus or weight draw does not pay for it
+import numpy.random  # noqa: F401
 
 from .device import simulate_curveset
 from .errors import ConfigError, DataError, ExtractionError, read_text

@@ -46,6 +46,10 @@ VDS_HIGH = 0.7
 IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP = 0.0, 0.8, 0.01
 CV_VGS_START, CV_VGS_STOP, CV_VGS_STEP = 0.0, 1.1, 0.01
 OUT_VDS_START, OUT_VDS_STOP, OUT_VDS_STEP = 0.0, 0.8, 0.01
+#: Gate-voltage tolerance, V, within which measured x points count as a
+#: default sweep's: files written with short cells such as ``0.030`` for
+#: 3 x 0.01 V (0.030000000000000002) are on the sweep.
+GRID_TOL_V = 1e-9
 
 
 class CurveKind(str, Enum):

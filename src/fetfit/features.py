@@ -24,6 +24,7 @@ from .device import (
     CV_VGS_START,
     CV_VGS_STEP,
     CV_VGS_STOP,
+    GRID_TOL_V,
     IV_VGS_START,
     IV_VGS_STEP,
     IV_VGS_STOP,
@@ -64,8 +65,8 @@ class FeatureConfig:
 
 def _require_default_grid(curve: Curve, start: float, stop: float, step: float):
     n = int(round((stop - start) / step)) + 1
-    if (len(curve.x) != n or abs(curve.x[0] - start) > 1e-9
-            or abs(curve.x[-1] - stop) > 1e-9):
+    if (len(curve.x) != n or abs(curve.x[0] - start) > GRID_TOL_V
+            or abs(curve.x[-1] - stop) > GRID_TOL_V):
         raise ExtractionError(
             f"curve must be sampled on the {start:g}..{stop:g} V grid with step "
             f"{step:g} ({n} points); got {len(curve.x)} points spanning "

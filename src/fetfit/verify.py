@@ -6,21 +6,25 @@ is scale-invariant); subthreshold quality is scored on log10 current. Also
 provides a derivative-free simplex fit over the same curves as a baseline
 for wall-time comparisons.
 
-The simplex scores each evaluation on raw arrays, so its checks run where
-they are needed. The ranges and the evaluation budget are checked at entry.
-The target's grids and norms are checked once per fit, when the start point
-is scored with ``direct_fit_objective``. Every evaluation checks only its
+The simplex is the in-house ``_nelder_mead``, a bounded adaptive
+Nelder-Mead that evaluates the points scipy's does, bit for bit, so the
+package does not import scipy (``tests/test_nelder_mead.py`` keeps scipy
+as the reference). It clips each point into the unit box once. Each
+evaluation is scored on raw arrays, so the checks run where they are
+needed. The ranges and the evaluation budget are checked at entry. The
+target's grids and norms are checked once per fit, when the start point is
+scored with ``direct_fit_objective``. Every evaluation checks only its
 simulated values.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ann import MLPWeights, predict_params
 from .dataset import Normalizer
@@ -30,6 +34,8 @@ from .errors import DataError
 from .features import FeatureConfig, featurize
 from .params import (CGG_MARGIN_FF, I_CGGMAX, I_CGGMIN, LOG_UNIFORM_PARAMS, PARAM_NAMES,
                      ModelParams, ParamRanges)
+
+log = logging.getLogger(__name__)
 
 #: Labels and accessors for the five reported curves, in report order.
 REPORT_CURVES = ("cgg", "ids_low", "ids_high", "gm_low", "gm_high")
@@ -277,8 +283,9 @@ def _to_unit_box(vec: np.ndarray, box: tuple) -> np.ndarray:
 
 
 def _from_unit_box(u: np.ndarray, box: tuple, ranges: ParamRanges) -> np.ndarray:
+    # u comes from _nelder_mead, which clips every point into the unit box
     lo, span = box
-    z = lo + np.minimum(np.maximum(u, 0.0), 1.0) * span
+    z = lo + u * span
     z[_LOG_MASK] = np.exp(z[_LOG_MASK])
     return ranges.clip_vector(z)
 
@@ -319,17 +326,96 @@ def _vector_objective(target: CurveSet):
     return objective
 
 
+def _nelder_mead(fun, u0: np.ndarray, max_evals: int) -> tuple:
+    """Minimise ``fun`` over the unit box from ``u0``, calling it at most
+    ``max_evals`` times; ``fun`` must neither keep nor modify its argument.
+
+    This is the adaptive Nelder-Mead of Gao and Han (2012), kept inside the
+    box by clipping every point it builds, with the tolerances xatol=1e-6
+    and fatol=1e-8. It performs the numpy operations of scipy 1.17's
+    ``minimize(method="Nelder-Mead", adaptive=True, bounds=[(0, 1)] * n)``
+    in the same order, so it calls ``fun`` on the same points, bit for bit;
+    a ``u0`` outside the box is clipped into it. Returns (evaluations,
+    iterations, shrinks, converged), where ``converged`` is true when the
+    tolerances stopped the search before the budget did.
+    """
+    n = len(u0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    lo, hi = np.zeros(n), np.ones(n)   # scipy clips to bound arrays, which map -0.0 to 0.0
+    x0 = np.clip(u0, lo, hi)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[range(1, n + 1), range(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    # a step past the upper bound is reflected into the box
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.full(n + 1, np.inf)
+    evals = min(n + 1, max_evals)
+    for k in range(evals):
+        fsim[k] = fun(sim[k])
+    iterations = shrinks = 0
+    for _ in range(2):  # scipy sorts twice here; with ties the second sort may reorder
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    while evals < max_evals:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-8):
+            return evals, iterations, shrinks, True
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip(2 * xbar - sim[-1], lo, hi)
+        fxr = fun(xr)
+        evals += 1
+        if fxr < fsim[0]:
+            if evals == max_evals:
+                break
+            xe = np.clip((1 + chi) * xbar - chi * sim[-1], lo, hi)
+            fxe = fun(xe)
+            evals += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if evals == max_evals:
+                break
+            if fxr < fsim[-1]:  # contract outside, towards the reflected point
+                xc = np.clip((1 + psi) * xbar - psi * sim[-1], lo, hi)
+                fxc = fun(xc)
+                accept = fxc <= fxr
+            else:  # contract inside, towards the worst point
+                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                fxc = fun(xc)
+                accept = fxc < fsim[-1]
+            evals += 1
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink every point towards the best
+                shrinks += 1
+                sim[1:] = np.clip(sim[0] + sigma * (sim[1:] - sim[0]), lo, hi)
+                for j in range(1, min(n, max_evals - evals) + 1):
+                    fsim[j] = fun(sim[j])
+                    evals += 1
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return evals, iterations, shrinks, False
+
+
 def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
                max_evals: int = DIRECT_FIT_MAX_EVALS) -> ModelParams:
     """Classical extraction baseline: derivative-free simplex descent on the
     summed curve errors, box-constrained to the ranges by clipping.
 
     The best parameter set evaluated is returned, so the objective at the
-    result never exceeds the objective at ``init``. ``ranges`` and
-    ``max_evals`` (an int >= 1) are checked at entry. Scoring ``init`` with
-    ``direct_fit_objective`` checks the target's grids and norms once. Each
-    later evaluation maps the simplex point to a parameter vector and checks
-    only its simulated values; one ``ModelParams`` is built on return.
+    result never exceeds the objective at ``init``. ``init`` may lie
+    outside ``ranges``: the simplex then starts from it clipped into the
+    box, without a warning. ``ranges`` and ``max_evals`` (an int >= 1, the
+    evaluations of the fit, the start point's included) are checked at
+    entry. Scoring ``init`` with ``direct_fit_objective`` checks the
+    target's grids and norms once. The simplex (``_nelder_mead``) works in
+    the unit box, where the log-uniform parameters are logarithms; each
+    later evaluation maps its point to a parameter vector and checks only
+    the simulated values, and one ``ModelParams`` is built on return. With
+    DEBUG logging on, one line per fit gives the evaluations, how many of
+    them improved on the best point so far, the iterations, the shrinks and
+    why the simplex stopped.
     """
     if (isinstance(max_evals, bool) or not isinstance(max_evals, (int, np.integer))
             or max_evals < 1):
@@ -337,25 +423,24 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     ranges.require_nondegenerate()
     best_obj = direct_fit_objective(init, target)
     if best_obj == 0.0:
+        log.debug("direct_fit: 1 evaluation; the start point fits the target exactly")
         return init
     box = _log_box(ranges)
     objective = _vector_objective(target)
-    best_vec, evals = None, 1
+    best_vec, improved = None, 0
 
     def simplex_objective(u):
-        nonlocal best_obj, best_vec, evals
-        if evals >= max_evals:
-            return best_obj  # budget exhausted; keep the simplex stationary
+        nonlocal best_obj, best_vec, improved
         vec = _from_unit_box(u, box, ranges)
         obj = objective(vec)
-        evals += 1
         if obj < best_obj:
-            best_obj, best_vec = obj, vec
+            best_obj, best_vec, improved = obj, vec, improved + 1
         return obj
 
-    minimize(
-        simplex_objective, _to_unit_box(init.to_vector(), box), method="Nelder-Mead",
-        bounds=[(0.0, 1.0)] * len(PARAM_NAMES),
-        options={"maxfev": max_evals, "xatol": 1e-6, "fatol": 1e-8, "adaptive": True},
-    )
+    evals, iterations, shrinks, converged = _nelder_mead(
+        simplex_objective, _to_unit_box(init.to_vector(), box), max_evals - 1)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("direct_fit: %d evaluations, %d improvements, %d iterations, %d shrinks; "
+                  "stopped on the %s", 1 + evals, improved, iterations, shrinks,
+                  "tolerances" if converged else "evaluation budget")
     return init if best_vec is None else ModelParams.from_vector(best_vec)

@@ -1,12 +1,13 @@
 """The line-by-line curve-CSV parser, kept as the reference that the bulk
-reader in ``fetfit.curve_io`` must agree with."""
+reader in ``fetfit.curve_io`` must agree with. Like the reader, it puts an
+x column within 1e-9 V of a default sweep point for point on that sweep."""
 
 from pathlib import Path
 
 import numpy as np
 
 from fetfit.curve_io import WRITABLE_KINDS, _HEADER_RE
-from fetfit.device import CURVE_UNITS, Curve, CurveKind
+from fetfit.device import CURVE_UNITS, CV_X, IV_X, Curve, CurveKind
 from fetfit.errors import DataError
 
 
@@ -53,6 +54,9 @@ def read_curve_csv_by_line(path) -> Curve:
             raise DataError(f"{path}:{ln_no}: {exc}") from exc
     if len(xs) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
+    for grid in (IV_X, CV_X):
+        if len(xs) == len(grid) and all(abs(a - b) <= 1e-9 for a, b in zip(xs, grid)):
+            xs = grid.copy()
     try:
         return Curve(kind, np.array(xs), np.array(ys), vds=vds, vgs=vgs)
     except ValueError as exc:

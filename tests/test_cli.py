@@ -2,13 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fetfit
 from fetfit.cli import main
 from fetfit.curve_io import write_curveset_dir
-from fetfit.device import simulate_curveset
+from fetfit.device import IV_X, simulate_curveset
 from fetfit.features import FEATURE_NAMES, FeatureConfig, featurize
 from fetfit.params import REFERENCE_PARAMS
 
@@ -78,6 +82,66 @@ def test_extract_command(tmp_path, trained_dirs):
     assert sorted(params) == sorted(
         ["PHIG", "ETA0", "CIT", "CDSC", "U0", "UA", "VSATV", "LAMBDA",
          "RDSW", "IOFF0", "CGGMAX", "CGGMIN", "DVTCV", "ACV"])
+
+
+def _rewrite_x(path, x):
+    """Replace the x cells of a curve CSV with the strings in ``x``."""
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [f"{a},{r.split(',')[1]}" for a, r in zip(x, rows)])
+                    + "\n")
+
+
+def test_short_x_cells_pass_extract_and_verify(tmp_path, trained_dirs):
+    """A device written with short x cells (0.030 for 3 x 0.01 V, 2e-18 V off
+    the sweep) reads onto the default sweeps, so extract and verify --curves
+    give the results of the device as written by fetfit."""
+    model = str(trained_dirs[1] / "model.json")
+    exact, short = tmp_path / "exact", tmp_path / "short"
+    cs = simulate_curveset(REFERENCE_PARAMS.replace(PHIG=4.43))
+    for d in (exact, short):
+        write_curveset_dir(cs, d)
+    for curve in short.iterdir():
+        header, *rows = curve.read_text().splitlines()
+        _rewrite_x(curve, ["%.3f" % float(r.split(",")[0]) for r in rows])
+    assert "\n0.030," in (short / "ids_vgs_low.csv").read_text()
+    for d in (exact, short):
+        assert main(["extract", "--curves", str(d), "--model", model,
+                     "--out", str(tmp_path / f"ext-{d.name}")]) == 0
+        assert main(["verify", "--curves", str(d), "--model", model,
+                     "--out", str(tmp_path / f"ver-{d.name}")]) == 0
+    outputs = {}
+    for d in ("exact", "short"):
+        report = json.loads((tmp_path / f"ver-{d}" / "report.json").read_text())
+        report.pop("extract_seconds")
+        outputs[d] = (report, (tmp_path / f"ext-{d}" / "params.json").read_text())
+    assert outputs["short"] == outputs["exact"]
+
+
+def test_verify_names_the_curve_directory_on_a_grid_mismatch(tmp_path, capsys, trained_dirs):
+    """A uniform grid whose ends lie within 1e-9 V of the sweep's but whose
+    middle is 1.4e-9 V off passes extraction, then fails the comparison."""
+    device = tmp_path / "device0"
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), device)
+    steps = [0.0, 0.0] + [0.99e-11] * 39 + [-0.99e-11] * 40  # each step within 1e-11 V of the first
+    x = IV_X + 0.99e-9 + np.cumsum(steps)
+    _rewrite_x(device / "ids_vgs_low.csv", ["%.17g" % v for v in x])
+    assert main(["verify", "--curves", str(device), "--model",
+                 str(trained_dirs[1] / "model.json"), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"fetfit: error: DataError: {device}: subthreshold_rms_percent: curve grids do not "
+        "match\n")
+
+
+def test_import_loads_no_scipy():
+    """The package needs numpy alone; numpy.random is loaded with it."""
+    src = str(Path(fetfit.__file__).parent.parent)
+    code = ("import sys, fetfit, fetfit.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout == "[] True\n"
 
 
 def test_verify_command_with_params(tmp_path, trained_dirs):

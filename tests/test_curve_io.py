@@ -196,8 +196,16 @@ def test_default_grid_files_share_the_module_grid(tmp_path):
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         assert read_curve_csv(path).x is grid
-        path.write_text(_rows(_spaced)(path.read_text()))
+        text = path.read_text()
+        path.write_text(_rows(_spaced)(text))
         assert read_curve_csv(path).x is grid  # same values, other text
+        short = _rows(lambda rows: ["%.3f,%s" % (float(r.split(",")[0]), r.split(",")[1])
+                                    for r in rows])(text)
+        path.write_text(short)
+        assert read_curve_csv(path).x is grid  # 0.030 for 3 x 0.01 V: within 1e-9 V
+        path.write_text(_rows(lambda rows: ["%.17g,%s" % (float(r.split(",")[0]) + 2e-9,
+                                                          r.split(",")[1]) for r in rows])(text))
+        assert read_curve_csv(path).x is not grid  # 2e-9 V off
     off_grid = tmp_path / "off.csv"
     off_grid.write_text("# kind=IdsVgs, vds=0.05, vgs=na, unit=A\n0,1e-10\n0.02,2e-10\n0.04,4e-10\n")
     curve = read_curve_csv(off_grid)

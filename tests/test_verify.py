@@ -1,6 +1,8 @@
 """Verification metric and round-trip tests."""
 
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +199,27 @@ def test_direct_fit_full_budget_golden():
     assert [v.hex() for v in out] == list(GOLDEN_DIRECT_FIT_32_FULL_BUDGET)
 
 
+def test_direct_fit_logs_one_line_per_fit_at_debug(caplog):
+    target = simulate_curveset(sample_params_list(1, seed=32)[0])
+    lo, hi = DEFAULT_RANGES.lo_vector(), DEFAULT_RANGES.hi_vector()
+    init = ModelParams.from_vector(DEFAULT_RANGES.clip_vector((lo + hi) / 2))
+    caplog.set_level(logging.INFO, logger="fetfit.verify")
+    direct_fit(target, DEFAULT_RANGES, init, max_evals=300)
+    assert caplog.records == []
+    caplog.set_level(logging.DEBUG, logger="fetfit.verify")
+    direct_fit(target, DEFAULT_RANGES, init, max_evals=300)
+    direct_fit(simulate_curveset(REFERENCE_PARAMS), DEFAULT_RANGES, REFERENCE_PARAMS)
+    converging = sample_params_list(3, seed=5)[2]  # started next to it, the simplex converges
+    near = ModelParams.from_vector(DEFAULT_RANGES.clip_vector(converging.to_vector() * (1 + 1e-9)))
+    direct_fit(simulate_curveset(converging), DEFAULT_RANGES, near)
+    budget, exact, converged = caplog.messages
+    assert re.fullmatch(r"direct_fit: 300 evaluations, [1-9]\d* improvements, [1-9]\d* "
+                        r"iterations, \d+ shrinks; stopped on the evaluation budget", budget)
+    assert exact == "direct_fit: 1 evaluation; the start point fits the target exactly"
+    assert re.fullmatch(r"direct_fit: 1821 evaluations, \d+ improvements, \d+ iterations, "
+                        r"\d+ shrinks; stopped on the tolerances", converged)
+
+
 @pytest.mark.parametrize("max_evals", [-5, 0, 2.5, True])
 def test_direct_fit_rejects_bad_max_evals(max_evals):
     target = simulate_curveset(REFERENCE_PARAMS)
@@ -214,11 +237,16 @@ def test_simplex_evaluations_equal_the_curve_errors(monkeypatch):
     far = REFERENCE_PARAMS.replace(CGGMAX=1e6)  # every other point improves on it
     rng = np.random.default_rng(40)
     seen, repaired = [], 0
+    nelder_mead = fetfit.verify._nelder_mead
 
-    def one_evaluation(fun, u0, **kwargs):
-        seen.append(fun(rng.uniform(-0.3, 1.3, size=u0.shape)))
+    def one_evaluation(fun, u0, max_evals):
+        # the simplex's one evaluation is its start point, clipped into the box
+        def record(u):
+            seen.append(fun(u))
+            return seen[-1]
+        return nelder_mead(record, rng.uniform(-0.3, 1.3, size=u0.shape), max_evals)
 
-    monkeypatch.setattr(fetfit.verify, "minimize", one_evaluation)
+    monkeypatch.setattr(fetfit.verify, "_nelder_mead", one_evaluation)
     for _ in range(200):
         p = direct_fit(target, ranges, far, max_evals=2)
         cs = simulate_curveset(p)
@@ -242,7 +270,7 @@ def test_direct_fit_checks_target_grid_before_the_simplex(monkeypatch, curve):
     def no_simplex(*args, **kwargs):
         raise AssertionError("the simplex ran")
 
-    monkeypatch.setattr(fetfit.verify, "minimize", no_simplex)
+    monkeypatch.setattr(fetfit.verify, "_nelder_mead", no_simplex)
     with pytest.raises(DataError, match="curve grids do not match"):
         direct_fit(shifted, DEFAULT_RANGES, REFERENCE_PARAMS)
 
@@ -256,7 +284,8 @@ def test_simplex_evaluation_raises_the_model_checks_errors(monkeypatch, point, e
     ModelParams and simulate_curveset raise; here CGGMIN may go negative."""
     ranges = ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), "CGGMIN": [-0.5, 0.45]})
     target = simulate_curveset(REFERENCE_PARAMS)
-    monkeypatch.setattr(fetfit.verify, "minimize",
-                        lambda fun, u0, **kwargs: fun(np.full(u0.shape, point)))
+    nelder_mead = fetfit.verify._nelder_mead
+    monkeypatch.setattr(fetfit.verify, "_nelder_mead", lambda fun, u0, max_evals:
+                        nelder_mead(fun, np.full(u0.shape, point), max_evals))
     with pytest.raises(error, match=message):
         direct_fit(target, ranges, REFERENCE_PARAMS.replace(CGGMIN=0.3))
