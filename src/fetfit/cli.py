@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import ann, curve_io, dataset, svg, verify
 from .device import CurveKind, simulate_curveset, simulate_ids_vds
-from .errors import ConfigError, DataError, FetfitError, read_text
+from .errors import ConfigError, DataError, ExtractionError, FetfitError, read_text
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
 
@@ -275,7 +275,11 @@ def cmd_extract(args) -> int:
         echo_config(out, "extract", cfg, {"curves": str(args.curves), "model": str(args.model)})
         w, norm, _ = ann.load_model(args.model)
         cs = curve_io.read_curveset_dir(args.curves)
-        params = ann.predict_params(w, norm, featurize(cs, fcfg))
+        try:
+            fv = featurize(cs, fcfg)
+        except ExtractionError as exc:  # such as a grid off the default sweeps
+            raise ExtractionError(f"{args.curves}: {exc}") from exc
+        params = ann.predict_params(w, norm, fv)
         write_params_file(params, out.path("params.json"))
         print(f"extracted 14 parameters -> {out.out_dir / 'params.json'}")
         return EXIT_OK
@@ -365,11 +369,11 @@ def cmd_verify(args) -> int:
         try:
             report = verify.round_trip(target, w, norm, true_params=true_params,
                                        cfg=fcfg, ranges=ranges)
-        except DataError as exc:
+        except (DataError, ExtractionError) as exc:
             if args.params:
                 raise
-            # such as a grid the reader did not put on a default sweep
-            raise DataError(f"{args.curves}: {exc}") from exc
+            # such as a grid off the default sweeps
+            raise type(exc)(f"{args.curves}: {exc}") from exc
         with open(out.path("report.json"), "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")

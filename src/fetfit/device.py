@@ -17,6 +17,12 @@ or an (N, 14) block of parameter rows; for a block every curve holds an
 (N, npts) value array, one row per device, on the shared grid, and
 ``differentiate`` works along the last axis. Rows of a block are
 bit-identical to simulating each device alone.
+
+The kernels ``_ids`` and ``_cgg`` work in place: they make a few
+bias-grid arrays and update them by augmented assignment, in the operation
+order of the model equations, so they give the bits of the plain
+expressions. A direct-fit evaluation is a block of one, whose cost is
+numpy dispatch rather than arithmetic.
 """
 
 from __future__ import annotations
@@ -224,18 +230,48 @@ def ids(params: ModelParams, vgs, vds):
 
 def _ids(p, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
     # p is a ModelParams or a _Params: one device's values as Python floats,
-    # or a block's parameter columns, which broadcast against vgs and vds
+    # or a block's parameter columns, which broadcast against vgs and vds.
+    # The bias-grid temporaries are updated in place, each in its
+    # expression's own operation order: swapping two operands is exact,
+    # regrouping a sum or a product is not. Augmented assignment, not out=,
+    # keeps scalar biases numpy scalars, whose power is the C library's and
+    # can differ from the array power in the last bit.
     n = 1.0 + p.CIT + p.CDSC * (1.0 + vds)
     vth = (p.PHIG - WORKFUNC_REF) - p.ETA0 * vds
     nvt = n * THERMAL_V
-    q = nvt * _softplus((vgs - vth) / nvt)
-    vdsat = p.VSATV * q / (p.VSATV + q)
-    # vds/(1+(vds/vdsat)^A)^(1/A), rewritten to avoid overflow when vdsat -> 0
-    denom = (vdsat ** SAT_SMOOTHING + vds ** SAT_SMOOTHING) ** (1.0 / SAT_SMOOTHING)
-    vdse = np.where(denom > 0.0, vds * vdsat / np.where(denom > 0.0, denom, 1.0), 0.0)
-    mu = p.U0 / (1.0 + p.UA * q)
-    icore = K0 * mu * q * vdse * (1.0 + p.LAMBDA * vds)
-    return icore / (1.0 + p.RDSW * icore) + p.IOFF0
+    # q = nvt * softplus((vgs - vth) / nvt)
+    q = vgs - vth
+    q /= nvt
+    q = _softplus(q)
+    q *= nvt
+    # vdsat = VSATV * q / (VSATV + q)
+    vdsat = q * p.VSATV
+    vdsat /= q + p.VSATV
+    # vds/(1+(vds/vdsat)^A)^(1/A) = vds * vdsat / denom, written so that it
+    # does not overflow when vdsat -> 0
+    denom = vdsat ** SAT_SMOOTHING
+    denom += vds ** SAT_SMOOTHING
+    denom **= 1.0 / SAT_SMOOTHING
+    if np.minimum.reduce(denom, None) > 0.0:
+        vdse = vdsat
+        vdse *= vds
+        vdse /= denom
+    else:  # vdsat**A + vds**A is 0 (vds = 0 far below threshold) or NaN somewhere
+        vdse = np.where(denom > 0.0, vds * vdsat / np.where(denom > 0.0, denom, 1.0), 0.0)
+    # icore = K0 * mu * q * vdse * (1 + LAMBDA * vds), mu = U0 / (1 + UA * q)
+    icore = q * p.UA
+    icore += 1.0
+    icore = p.U0 / icore
+    icore *= K0
+    icore *= q
+    icore *= vdse
+    icore *= 1.0 + p.LAMBDA * vds
+    # icore / (1 + RDSW * icore) + IOFF0
+    divisor = icore * p.RDSW
+    divisor += 1.0
+    icore /= divisor
+    icore += p.IOFF0
+    return icore
 
 
 def cgg(params: ModelParams, vgs):
@@ -249,9 +285,17 @@ def cgg(params: ModelParams, vgs):
 
 
 def _cgg(p, vgs: np.ndarray) -> np.ndarray:
+    # CGGMIN + (CGGMAX - CGGMIN) / (1 + exp(-(vgs - vth_cv) / ACV)), in place
+    # as in _ids
     vth_cv = (p.PHIG - WORKFUNC_REF) + p.DVTCV
-    sigma = 1.0 / (1.0 + np.exp(-(vgs - vth_cv) / p.ACV))
-    return p.CGGMIN + (p.CGGMAX - p.CGGMIN) * sigma
+    cap = vth_cv - vgs  # -(vgs - vth_cv), exactly
+    cap /= p.ACV
+    cap = np.exp(cap)
+    cap += 1.0
+    cap = 1.0 / cap
+    cap *= p.CGGMAX - p.CGGMIN
+    cap += p.CGGMIN
+    return cap
 
 
 #: The 14 parameters by name, as ``_ids`` and ``_cgg`` read them.

@@ -21,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import (
-    CV_VGS_START,
     CV_VGS_STEP,
-    CV_VGS_STOP,
+    CV_X,
     GRID_TOL_V,
-    IV_VGS_START,
     IV_VGS_STEP,
-    IV_VGS_STOP,
+    IV_X,
     Curve,
     CurveKind,
     CurveSet,
@@ -63,15 +61,25 @@ class FeatureConfig:
             )
 
 
-def _require_default_grid(curve: Curve, start: float, stop: float, step: float):
-    n = int(round((stop - start) / step)) + 1
-    if (len(curve.x) != n or abs(curve.x[0] - start) > GRID_TOL_V
-            or abs(curve.x[-1] - stop) > GRID_TOL_V):
-        raise ExtractionError(
-            f"curve must be sampled on the {start:g}..{stop:g} V grid with step "
-            f"{step:g} ({n} points); got {len(curve.x)} points spanning "
-            f"{curve.x[0]:g}..{curve.x[-1]:g} V"
-        )
+def _require_default_grid(curve: Curve, grid: np.ndarray, step: float):
+    """Every point of the curve within ``GRID_TOL_V`` of the default sweep
+    ``grid``, as the curve reader puts a file's x column on a sweep. A curve
+    that already shares the module grid passes at once."""
+    x = curve.x
+    if x is grid:
+        return
+    if len(x) == len(grid):
+        off = np.abs(x - grid).max()
+        if off <= GRID_TOL_V:
+            return
+        detail = f"; a point lies {off:.2g} V off the sweep"
+    else:
+        detail = ""
+    raise ExtractionError(
+        f"curve must be sampled on the {grid[0]:g}..{grid[-1]:g} V grid with step "
+        f"{step:g} ({len(grid)} points); got {len(x)} points spanning "
+        f"{x[0]:g}..{x[-1]:g} V{detail}"
+    )
 
 
 def _require_kind(curve: Curve, kind: CurveKind, need: str):
@@ -80,13 +88,13 @@ def _require_kind(curve: Curve, kind: CurveKind, need: str):
 
 
 def _check_iv(curve: Curve):
-    _require_default_grid(curve, IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP)
+    _require_default_grid(curve, IV_X, IV_VGS_STEP)
     _require_kind(curve, CurveKind.IDS_VGS, "Vth needs an IdsVgs curve")
 
 
 def _check_cv(curve: Curve):
     _require_kind(curve, CurveKind.CGG_VGS, "CV features need a CggVgs curve")
-    _require_default_grid(curve, CV_VGS_START, CV_VGS_STOP, CV_VGS_STEP)
+    _require_default_grid(curve, CV_X, CV_VGS_STEP)
 
 
 def _stacked_y(*curves: Curve) -> np.ndarray:

@@ -7,14 +7,14 @@ provides a derivative-free simplex fit over the same curves as a baseline
 for wall-time comparisons.
 
 The simplex is the in-house ``_nelder_mead``, a bounded adaptive
-Nelder-Mead that evaluates the points scipy's does, bit for bit, so the
-package does not import scipy (``tests/test_nelder_mead.py`` keeps scipy
-as the reference). It clips each point into the unit box once. Each
-evaluation is scored on raw arrays, so the checks run where they are
-needed. The ranges and the evaluation budget are checked at entry. The
-target's grids and norms are checked once per fit, when the start point is
-scored with ``direct_fit_objective``. Every evaluation checks only its
-simulated values.
+Nelder-Mead that evaluates scipy 1.17's points bit for bit (pinned by
+``tests/test_nelder_mead.py``, which keeps scipy as the reference), so the
+package does not import scipy. It clips each point into the unit box once.
+Each evaluation is scored on raw arrays, both I-V curves in one pass, so
+the checks run where they are needed. The ranges and the evaluation budget
+are checked at entry. The target's grids and norms are checked once per
+fit, when the start point is scored with ``direct_fit_objective``. Every
+evaluation checks only its simulated values.
 """
 
 from __future__ import annotations
@@ -285,8 +285,9 @@ def _to_unit_box(vec: np.ndarray, box: tuple) -> np.ndarray:
 def _from_unit_box(u: np.ndarray, box: tuple, ranges: ParamRanges) -> np.ndarray:
     # u comes from _nelder_mead, which clips every point into the unit box
     lo, span = box
-    z = lo + u * span
-    z[_LOG_MASK] = np.exp(z[_LOG_MASK])
+    z = u * span
+    z += lo
+    np.exp(z, out=z, where=_LOG_MASK)
     return ranges.clip_vector(z)
 
 
@@ -304,8 +305,9 @@ def _vector_objective(target: CurveSet):
     target's arrays and norms are prepared once; its grids must already
     have passed ``rms_percent``. Each call checks the simulated values and
     raises what ``ModelParams`` and ``simulate_curveset`` raise."""
-    t_low, t_high, t_cgg = target.ids_low.y, target.ids_high.y, target.cgg_low.y
-    n_low, n_high, n_cgg = _norm(t_low), _norm(t_high), _norm(t_cgg)
+    t_iv = np.stack([target.ids_low.y, target.ids_high.y])
+    t_cgg = target.cgg_low.y
+    n_low, n_high, n_cgg = _norm(t_iv[0]), _norm(t_iv[1]), _norm(t_cgg)
 
     def objective(vec: np.ndarray) -> float:
         vals = vec.tolist()
@@ -313,17 +315,40 @@ def _vector_objective(target: CurveSet):
         if not (math.isfinite(sum(vals)) and vals[I_CGGMIN] + CGG_MARGIN_FF <= vals[I_CGGMAX]):
             ModelParams.from_vector(vec)  # raises its own error
         iv, cv = _simulate(_Params._make(vals))
-        obj = (_rms_term(iv[0] - t_low, n_low) + _rms_term(iv[1] - t_high, n_high)
-               + _rms_term(cv - t_cgg, n_cgg))
+        # the _rms_term of each curve; a row sum along the last axis adds in
+        # the same order as the sum of that row alone
+        d = iv - t_iv
+        d *= d
+        s_low, s_high = np.add.reduce(d, 1).tolist()
+        d = cv - t_cgg
+        d *= d
+        obj = (100.0 * math.sqrt(s_low) / n_low + 100.0 * math.sqrt(s_high) / n_high
+               + 100.0 * math.sqrt(np.add.reduce(d)) / n_cgg)
         # simulate_curveset's value checks in one pass: a min is NaN if any
         # value is, and an infinite value makes obj infinite. On a failure
         # they run again to raise their own error; finite values whose
         # squares overflow pass them and leave obj infinite, as before.
-        if not (iv.min() > 0.0 and cv.min() > 0.0 and math.isfinite(obj)):
+        if not (np.minimum.reduce(iv, None) > 0.0 and np.minimum.reduce(cv) > 0.0
+                and math.isfinite(obj)):
             simulate_curveset(ModelParams.from_vector(vec))
         return obj
 
     return objective
+
+
+def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.clip(x, lo, hi)`` bit for bit, without its Python-level
+    dispatch; with bound arrays, as scipy passes them, -0.0 maps to 0.0."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def _tolerances_met(sim: np.ndarray, fsim: np.ndarray) -> bool:
+    """scipy's stop test, xatol=1e-6 and fatol=1e-8, on a simplex sorted by
+    ``fsim`` (NaN last): there the largest |fsim[0] - fsim[j]| is
+    fsim[-1] - fsim[0], so the spread of the points is measured only when
+    the values pass."""
+    return bool(fsim[-1] - fsim[0] <= 1e-8
+                and np.maximum.reduce(np.abs(sim[1:] - sim[0]), None) <= 1e-6)
 
 
 def _nelder_mead(fun, u0: np.ndarray, max_evals: int) -> tuple:
@@ -332,41 +357,41 @@ def _nelder_mead(fun, u0: np.ndarray, max_evals: int) -> tuple:
 
     This is the adaptive Nelder-Mead of Gao and Han (2012), kept inside the
     box by clipping every point it builds, with the tolerances xatol=1e-6
-    and fatol=1e-8. It performs the numpy operations of scipy 1.17's
+    and fatol=1e-8. It evaluates scipy 1.17's points bit for bit (pinned
+    by ``tests/test_nelder_mead.py``): it calls ``fun`` on the points of
     ``minimize(method="Nelder-Mead", adaptive=True, bounds=[(0, 1)] * n)``
-    in the same order, so it calls ``fun`` on the same points, bit for bit;
-    a ``u0`` outside the box is clipped into it. Returns (evaluations,
-    iterations, shrinks, converged), where ``converged`` is true when the
-    tolerances stopped the search before the budget did.
+    in the same order; a ``u0`` outside the box is clipped into it.
+    Returns (evaluations, iterations, shrinks, converged), where
+    ``converged`` is true when the tolerances stopped the search before the
+    budget did.
     """
     n = len(u0)
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    lo, hi = np.zeros(n), np.ones(n)   # scipy clips to bound arrays, which map -0.0 to 0.0
-    x0 = np.clip(u0, lo, hi)
+    lo, hi = np.zeros(n), np.ones(n)
+    x0 = _clip(u0, lo, hi)
     sim = np.tile(x0, (n + 1, 1))
     sim[range(1, n + 1), range(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     # a step past the upper bound is reflected into the box
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    sim = _clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
     fsim = np.full(n + 1, np.inf)
     evals = min(n + 1, max_evals)
     for k in range(evals):
         fsim[k] = fun(sim[k])
     iterations = shrinks = 0
     for _ in range(2):  # scipy sorts twice here; with ties the second sort may reorder
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = fsim.argsort()
+        sim, fsim = sim[order], fsim[order]
     while evals < max_evals:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-8):
+        if _tolerances_met(sim, fsim):
             return evals, iterations, shrinks, True
         xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip(2 * xbar - sim[-1], lo, hi)
+        xr = _clip(2 * xbar - sim[-1], lo, hi)
         fxr = fun(xr)
         evals += 1
         if fxr < fsim[0]:
             if evals == max_evals:
                 break
-            xe = np.clip((1 + chi) * xbar - chi * sim[-1], lo, hi)
+            xe = _clip((1 + chi) * xbar - chi * sim[-1], lo, hi)
             fxe = fun(xe)
             evals += 1
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
@@ -376,11 +401,11 @@ def _nelder_mead(fun, u0: np.ndarray, max_evals: int) -> tuple:
             if evals == max_evals:
                 break
             if fxr < fsim[-1]:  # contract outside, towards the reflected point
-                xc = np.clip((1 + psi) * xbar - psi * sim[-1], lo, hi)
+                xc = _clip((1 + psi) * xbar - psi * sim[-1], lo, hi)
                 fxc = fun(xc)
                 accept = fxc <= fxr
             else:  # contract inside, towards the worst point
-                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
+                xc = _clip((1 - psi) * xbar + psi * sim[-1], lo, hi)
                 fxc = fun(xc)
                 accept = fxc < fsim[-1]
             evals += 1
@@ -388,13 +413,13 @@ def _nelder_mead(fun, u0: np.ndarray, max_evals: int) -> tuple:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink every point towards the best
                 shrinks += 1
-                sim[1:] = np.clip(sim[0] + sigma * (sim[1:] - sim[0]), lo, hi)
+                sim[1:] = _clip(sim[0] + sigma * (sim[1:] - sim[0]), lo, hi)
                 for j in range(1, min(n, max_evals - evals) + 1):
                     fsim[j] = fun(sim[j])
                     evals += 1
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        order = fsim.argsort()
+        sim, fsim = sim[order], fsim[order]
     return evals, iterations, shrinks, False
 
 
@@ -414,13 +439,15 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     later evaluation maps its point to a parameter vector and checks only
     the simulated values, and one ``ModelParams`` is built on return. With
     DEBUG logging on, one line per fit gives the evaluations, how many of
-    them improved on the best point so far, the iterations, the shrinks and
-    why the simplex stopped.
+    them improved on the best point so far, the iterations, the shrinks,
+    why the simplex stopped, and the fit's wall time in all and per
+    evaluation.
     """
     if (isinstance(max_evals, bool) or not isinstance(max_evals, (int, np.integer))
             or max_evals < 1):
         raise ValueError(f"max_evals must be an int >= 1, got {max_evals!r}")
     ranges.require_nondegenerate()
+    t0 = time.perf_counter()
     best_obj = direct_fit_objective(init, target)
     if best_obj == 0.0:
         log.debug("direct_fit: 1 evaluation; the start point fits the target exactly")
@@ -440,7 +467,10 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     evals, iterations, shrinks, converged = _nelder_mead(
         simplex_objective, _to_unit_box(init.to_vector(), box), max_evals - 1)
     if log.isEnabledFor(logging.DEBUG):
+        seconds = time.perf_counter() - t0
         log.debug("direct_fit: %d evaluations, %d improvements, %d iterations, %d shrinks; "
-                  "stopped on the %s", 1 + evals, improved, iterations, shrinks,
-                  "tolerances" if converged else "evaluation budget")
+                  "stopped on the %s after %.1f ms, %.1f us per evaluation", 1 + evals,
+                  improved, iterations, shrinks,
+                  "tolerances" if converged else "evaluation budget",
+                  1e3 * seconds, 1e6 * seconds / (1 + evals))
     return init if best_vec is None else ModelParams.from_vector(best_vec)

@@ -117,19 +117,37 @@ def test_short_x_cells_pass_extract_and_verify(tmp_path, trained_dirs):
     assert outputs["short"] == outputs["exact"]
 
 
-def test_verify_names_the_curve_directory_on_a_grid_mismatch(tmp_path, capsys, trained_dirs):
-    """A uniform grid whose ends lie within 1e-9 V of the sweep's but whose
-    middle is 1.4e-9 V off passes extraction, then fails the comparison."""
+def _off_sweep_device(tmp_path):
+    """A device whose low-Vds x column is uniform, with both ends within
+    1e-9 V of the sweep's, but whose middle lies 1.4e-9 V off it."""
     device = tmp_path / "device0"
     write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), device)
     steps = [0.0, 0.0] + [0.99e-11] * 39 + [-0.99e-11] * 40  # each step within 1e-11 V of the first
     x = IV_X + 0.99e-9 + np.cumsum(steps)
     _rewrite_x(device / "ids_vgs_low.csv", ["%.17g" % v for v in x])
+    return device
+
+
+OFF_SWEEP_ERROR = (
+    "IV low-Vds: curve must be sampled on the 0..0.8 V grid with step 0.01 (81 points); "
+    "got 81 points spanning 9.9e-10..0.8 V; a point lies 1.4e-09 V off the sweep\n")
+
+
+def test_verify_names_the_curve_directory_on_a_grid_mismatch(tmp_path, capsys, trained_dirs):
+    device = _off_sweep_device(tmp_path)
     assert main(["verify", "--curves", str(device), "--model",
                  str(trained_dirs[1] / "model.json"), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == (
-        f"fetfit: error: DataError: {device}: subthreshold_rms_percent: curve grids do not "
-        "match\n")
+    want = f"fetfit: error: ExtractionError: {device}: " + OFF_SWEEP_ERROR
+    assert capsys.readouterr().err == want
+
+
+def test_extract_names_the_curve_directory_on_a_grid_mismatch(tmp_path, capsys, trained_dirs):
+    device = _off_sweep_device(tmp_path)
+    assert main(["extract", "--curves", str(device), "--model",
+                 str(trained_dirs[1] / "model.json"), "--out", str(tmp_path / "out")]) == 3
+    want = f"fetfit: error: ExtractionError: {device}: " + OFF_SWEEP_ERROR
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "out" / "params.json").exists()
 
 
 def test_import_loads_no_scipy():

@@ -1,5 +1,7 @@
 """Surrogate device model tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fetfit.device import (
 )
 from fetfit.errors import InvalidParameterError
 from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams
+from fetfit.verify import _from_unit_box, _log_box, _vector_objective
 
 from ._sampling import sample_params_list
 
@@ -304,3 +307,55 @@ def test_curve_validation():
         Curve(CurveKind.IDS_VGS, [0.0, 0.01, 0.02], [1e-9, -1e-9, 1e-9], vds=0.05)  # negative Ids
     with pytest.raises(ValueError):
         Curve(CurveKind.IDS_VGS, [0.0, 0.01], [1e-9, float("inf")], vds=0.05)
+
+
+# sha256 of the kernels' outputs below, recorded before the kernels were
+# rewritten to work in place: every bit of every value must stay the same
+GOLDEN_KERNEL_DIGEST = "eb4ce79c3680910035f0aad5f156f0917e975c3fb2e3a95b14bebd294a1049eb"
+
+
+def _kernel_digest() -> str:
+    h = hashlib.sha256()
+
+    def put(values):
+        a = np.ascontiguousarray(values, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+
+    ps = sample_params_list(300, seed=60)
+    block = simulate_curveset(np.array([p.to_vector() for p in ps]))
+    names = ("ids_low", "ids_high", "cgg_low")
+    for name in names:
+        put(getattr(block, name).y)
+    for p in ps:
+        cs = simulate_curveset(p)
+        for name in names:
+            put(getattr(cs, name).y)
+    # vgs = -40 and -10 V at vds = 0 make the saturation denominator 0
+    vgs = np.concatenate(([-40.0, -10.0, -5.0], np.linspace(-0.3, 1.2, 31)))
+    vds = np.array([[0.0], [0.05], [0.3], [0.7], [1.0]])
+    for p in ps[:20] + [REFERENCE_PARAMS]:
+        for vg in (-40.0, -10.0, 0.0, 0.45, 0.8):
+            for vd in (0.0, 0.05, 0.7):
+                value = ids(p, vg, vd)
+                assert type(value) is float
+                put(value)
+        for vg in (0.0, 0.45, 0.8):
+            value = cgg(p, vg)
+            assert type(value) is float
+            put(value)
+        put(ids(p, vgs, vds))
+        put(ids(p, vgs, 0.0))
+        put(ids(p, 0.5, vds))
+        put(cgg(p, vgs[3:]))
+    objective = _vector_objective(simulate_curveset(ps[0]))
+    box = _log_box(DEFAULT_RANGES)
+    for u in np.random.default_rng(61).uniform(size=(200, len(PARAM_NAMES))):
+        vec = _from_unit_box(u, box, DEFAULT_RANGES)
+        put(vec)
+        put(objective(vec))
+    return h.hexdigest()
+
+
+def test_kernel_digest_golden():
+    assert _kernel_digest() == GOLDEN_KERNEL_DIGEST

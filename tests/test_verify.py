@@ -213,11 +213,54 @@ def test_direct_fit_logs_one_line_per_fit_at_debug(caplog):
     near = ModelParams.from_vector(DEFAULT_RANGES.clip_vector(converging.to_vector() * (1 + 1e-9)))
     direct_fit(simulate_curveset(converging), DEFAULT_RANGES, near)
     budget, exact, converged = caplog.messages
+    timing = r" after \d+\.\d ms, \d+\.\d us per evaluation"
     assert re.fullmatch(r"direct_fit: 300 evaluations, [1-9]\d* improvements, [1-9]\d* "
-                        r"iterations, \d+ shrinks; stopped on the evaluation budget", budget)
+                        r"iterations, \d+ shrinks; stopped on the evaluation budget" + timing,
+                        budget)
     assert exact == "direct_fit: 1 evaluation; the start point fits the target exactly"
     assert re.fullmatch(r"direct_fit: 1821 evaluations, \d+ improvements, \d+ iterations, "
-                        r"\d+ shrinks; stopped on the tolerances", converged)
+                        r"\d+ shrinks; stopped on the tolerances" + timing, converged)
+
+
+def test_simplex_clip_equals_np_clip_bit_for_bit():
+    """The simplex's clip is np.clip with bound arrays, signbit and NaN
+    included, on points and on the (n, n) block a shrink clips."""
+    lo, hi = np.zeros(14), np.ones(14)
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1e-300, 5e-324,
+                        -5e-324, 1.0, 1.0 + 2.0 ** -52, 1.5, -0.2, 0.5])
+    rng = np.random.default_rng(70)
+    cases = [special, special[::-1], rng.choice(special, size=(14, 14)),
+             rng.uniform(-0.5, 1.5, size=(14, 14))]
+    cases += [np.where(rng.uniform(size=14) < 0.3, rng.choice(special, 14),
+                       rng.uniform(-0.5, 1.5, 14)) for _ in range(200)]
+    for x in cases:
+        assert fetfit.verify._clip(x, lo, hi).tobytes() == np.clip(x, lo, hi).tobytes()
+
+
+def test_simplex_stop_test_equals_the_two_max_test():
+    """On a sorted fsim (NaN last), testing fsim[-1] - fsim[0] first gives
+    scipy's two-max test, with ties, infinities and NaN."""
+    def two_max(sim, fsim):
+        return bool(np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-8)
+
+    rng = np.random.default_rng(71)
+    steps = np.array([0.0, 0.0, 1e-9, 5e-9, 1e-8, 1.0000000000000002e-8, 2e-8, 1e-3])
+    specials = np.array([np.inf, -np.inf, np.nan])
+    outcomes = []
+    for _ in range(2000):
+        fsim = rng.uniform(0.0, 10.0) + rng.choice(steps) * rng.integers(2, size=15)
+        if rng.uniform() < 0.3:
+            fsim[rng.integers(15, size=rng.integers(1, 15))] = rng.choice(specials)
+        fsim.sort()
+        sim = rng.uniform(size=14) + rng.choice([0.0, 1e-7, 5e-7, 2e-6]) * rng.uniform(
+            -1.0, 1.0, size=(15, 14))
+        if rng.uniform() < 0.05:
+            sim[rng.integers(15), rng.integers(14)] = rng.choice(specials)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            outcomes.append(fetfit.verify._tolerances_met(sim, fsim))
+            assert outcomes[-1] == two_max(sim, fsim)
+    assert 100 < sum(outcomes) < 1900
 
 
 @pytest.mark.parametrize("max_evals", [-5, 0, 2.5, True])
