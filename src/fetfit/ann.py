@@ -8,11 +8,21 @@ may run them on several threads of its own (OpenBLAS does by default). The
 numerics stay deterministic for a fixed seed: BLAS splits a product by
 output blocks, so each element is summed in the same order on any thread
 count.
+
+A training step allocates no arrays. Each stage copies its start weights
+into one flat float64 buffer, in ``W + b`` order, and trains an
+``MLPWeights`` of views into it, so one adaptive-moment update on flat
+moment buffers covers every parameter. The batch rows, the activations,
+the swish derivatives, the sigmoid, the deltas and one flat gradient live
+in a ``_Work`` buffer set built once per stage; a shorter last batch uses
+leading-row views of it. The swish, its derivative, the residual and the
+delta are formed in place, each in its own expression's operation order
+(operands may swap, never regroup), so every weight and every loss is
+bit-identical to the plain expressions.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -23,7 +33,7 @@ import numpy as np
 
 from .dataset import Dataset, Normalizer
 from .errors import (ConfigError, DataError, InvalidParameterError, TrainingDivergedError,
-                     read_text)
+                     read_text, require_int)
 from .features import N_FEATURES
 from .params import PARAM_NAMES, ModelParams, ParamRanges
 
@@ -53,6 +63,7 @@ class MLPConfig:
             raise ConfigError(f"unsupported activation {self.activation!r}")
         if self.init != "he-normal":
             raise ConfigError(f"unsupported init scheme {self.init!r}")
+        require_int("seed", self.seed, minimum=0)
 
     @property
     def n_hidden_neurons(self) -> int:
@@ -82,6 +93,9 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "refine_factors",
                            tuple(float(f) for f in self.refine_factors))
+        for name in ("batch_size", "max_epochs", "patience"):
+            require_int(name, getattr(self, name))
+        require_int("seed", self.seed, minimum=0)
         settings = (self.learning_rate, self.batch_size, self.max_epochs,
                     self.patience, self.beta1, self.beta2, self.eps)
         # NaN fails every comparison, so finiteness is checked first
@@ -123,10 +137,16 @@ def swish_grad(x):
     return s + x * s * (1.0 - s)
 
 
-def _sigmoid(x):
+def _sigmoid(x, out=None):
     # 1 / (1 + exp(-x)) rewritten as 0.5 * (1 + tanh(x / 2)): tanh saturates
-    # at +-1 instead of overflowing, so one branch-free pass serves every x
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
+    # at +-1 instead of overflowing, so one branch-free pass serves every x.
+    # Formed in that order (0.5*x, tanh, +1, *0.5), so ``out`` moves no bit.
+    x = np.asarray(x, dtype=float)
+    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def init_weights(cfg: MLPConfig) -> MLPWeights:
@@ -145,57 +165,100 @@ def forward(w: MLPWeights, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     z = x[None, :] if single else x
-    n_layers = len(w.W)
-    for i in range(n_layers - 1):
-        z = swish(z @ w.W[i] + w.b[i])
-    z = z @ w.W[-1] + w.b[-1]
+    for i in range(len(w.W) - 1):
+        z = z @ w.W[i]
+        z += w.b[i]
+        z *= _sigmoid(z)  # swish(pre) = pre * sigmoid(pre)
+    z = z @ w.W[-1]
+    z += w.b[-1]
     return z[0] if single else z
 
 
-def loss_and_grad(w: MLPWeights, X, Y):
+def _views(flat: np.ndarray, widths) -> MLPWeights:
+    """``MLPWeights`` of views into ``flat``, in ``W + b`` order."""
+    shapes = [*zip(widths[:-1], widths[1:]), *((n,) for n in widths[1:])]
+    arrays, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(flat[start:start + size].reshape(shape))
+        start += size
+    return MLPWeights(arrays[:len(widths) - 1], arrays[len(widths) - 1:])
+
+
+def _leading(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    return flat[:rows * cols].reshape(rows, cols)
+
+
+class _Work:
+    """Buffers for ``loss_and_grad`` on batches of up to ``rows`` rows: the
+    batch's X and Y, each hidden layer's activations and swish derivatives,
+    two delta buffers used in turn (the forward pass keeps each layer's
+    sigmoid in the first), and one flat gradient with ``g`` its per-layer
+    views."""
+
+    def __init__(self, widths, rows: int):
+        self.X = np.empty((rows, widths[0]))
+        self.Y = np.empty((rows, widths[-1]))
+        self.acts = [np.empty((rows, n)) for n in widths[1:-1]]
+        self.dacts = [np.empty((rows, n)) for n in widths[1:-1]]
+        wide = rows * max(widths[1:])
+        self.deltas = (np.empty(wide), np.empty(wide))
+        self.grad = np.empty(sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:])))
+        self.g = _views(self.grad, widths)
+
+
+def loss_and_grad(w: MLPWeights, X, Y, work: _Work | None = None):
     """Mean-squared-error loss over all outputs and its gradients.
 
     Returns (loss, grads) with grads shaped like the weights; gradients are
     accumulated by reverse-mode passes through the layer inputs and the
     swish derivatives cached on the forward pass.
+
+    ``work`` is a ``_Work`` buffer set for at least ``len(X)`` rows that
+    holds every intermediate; the grads returned are then views into its
+    flat ``grad``, overwritten by the next call. Without it, fresh buffers
+    are built, so the grads of two calls share no memory.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y need matching row counts")
-    n_layers = len(w.W)
-    acts = [X]
-    dacts = []
-    z = X
-    for i in range(n_layers - 1):
-        pre = z @ w.W[i]
-        pre += w.b[i]
-        s = _sigmoid(pre)
-        z = pre * s
-        d = 1.0 - s
+    rows = len(X)
+    if work is None:
+        work = _Work(w.widths, rows)
+    elif rows > len(work.X):
+        raise ValueError(f"work buffers hold {len(work.X)} rows, the batch has {rows}")
+    acts = [X] + [a[:rows] for a in work.acts]
+    dacts = [d[:rows] for d in work.dacts]
+    spare, delta_buf = work.deltas
+    for i, (z, d) in enumerate(zip(acts[1:], dacts)):
+        np.matmul(acts[i], w.W[i], out=z)
+        z += w.b[i]
+        s = _sigmoid(z, out=_leading(spare, *z.shape))
+        z *= s
+        np.subtract(1.0, s, out=d)
         d *= z
         d += s  # swish_grad(pre) = s + pre*s*(1 - s)
-        dacts.append(d)
-        acts.append(z)
-    out = z @ w.W[-1]
-    out += w.b[-1]
 
-    resid = out - Y
-    loss = float(np.mean(resid ** 2))
+    delta = np.matmul(acts[-1], w.W[-1], out=_leading(delta_buf, rows, Y.shape[1]))
+    delta += w.b[-1]
+    delta -= Y  # the residual
+    square = np.multiply(delta, delta, out=_leading(spare, *delta.shape))
+    loss = float(np.mean(square))
     if not np.isfinite(loss):
         raise TrainingDivergedError("loss is non-finite")
 
-    gW = [None] * n_layers
-    gb = [None] * n_layers
-    delta = 2.0 * resid / resid.size
-    gW[-1] = acts[-1].T @ delta
-    gb[-1] = delta.sum(axis=0)
-    for i in range(n_layers - 2, -1, -1):
-        delta = delta @ w.W[i + 1].T
-        delta *= dacts[i]
-        gW[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
-    return loss, MLPWeights(gW, gb)
+    g = work.g
+    delta *= 2.0
+    delta /= delta.size  # 2 * resid / resid.size
+    for i in range(len(w.W) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=g.W[i])
+        np.sum(delta, axis=0, out=g.b[i])
+        if i:
+            spare, delta_buf = delta_buf, spare
+            delta = np.matmul(delta, w.W[i].T, out=_leading(delta_buf, rows, w.W[i].shape[0]))
+            delta *= dacts[i - 1]
+    return loss, g
 
 
 @dataclass
@@ -240,7 +303,7 @@ def train(ds: Dataset, norm: Normalizer, mcfg: MLPConfig | None = None,
             raise ConfigError(
                 f"initial weights {initial_weights.widths} do not match config {mcfg.widths}"
             )
-        w = initial_weights.copy()
+        w = initial_weights
     else:
         w = init_weights(mcfg)
     history = TrainHistory(meta={
@@ -257,54 +320,67 @@ def train(ds: Dataset, norm: Normalizer, mcfg: MLPConfig | None = None,
     stages += [(tcfg.learning_rate * f, max(tcfg.patience + 1, tcfg.max_epochs // 2))
                for f in tcfg.refine_factors]
     best_w, best_val = w, np.inf
-    for stage_idx, (lr, epoch_budget) in enumerate(stages):
-        rng = np.random.default_rng(tcfg.seed + stage_idx)
+    for stage, (lr, epoch_budget) in enumerate(stages):
         best_w, best_val = _train_stage(
-            best_w.copy(), Xtr, Ytr, Xva, Yva, lr, epoch_budget, tcfg, rng, history,
-            t0, best_val)
+            best_w, Xtr, Ytr, Xva, Yva, lr, epoch_budget, tcfg, stage, history, t0, best_val)
     history.meta["best_val_loss"] = best_val
     history.meta["trained_epochs"] = len(history.epochs)
     return best_w, history
 
 
-def _train_stage(w: MLPWeights, Xtr, Ytr, Xva, Yva, lr, epoch_budget,
-                 tcfg: TrainConfig, rng, history: TrainHistory, t0, best_val_in):
-    """One optimization stage with fresh moments; returns the best checkpoint
-    seen so far (across stages)."""
-    params = w.W + w.b  # updated in place, so these stay w's arrays
-    m = [np.zeros_like(a) for a in params]
-    v = [np.zeros_like(a) for a in params]
-    scratch = [np.empty_like(a) for a in params]
+def _train_stage(start: MLPWeights, Xtr, Ytr, Xva, Yva, lr, epoch_budget,
+                 tcfg: TrainConfig, stage: int, history: TrainHistory, t0, best_val_in):
+    """One optimization stage with fresh moments, from the weights ``start``,
+    which it leaves unchanged; returns the best checkpoint seen so far
+    (across stages)."""
+    params = np.concatenate([a.ravel() for a in start.W + start.b], dtype=float)
+    w = _views(params, start.widths)  # updated in place through ``params``
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    scratch = np.empty_like(params)
+    n_tr = len(Xtr)
+    work = _Work(start.widths, min(tcfg.batch_size, n_tr))
+    rng = np.random.default_rng(tcfg.seed + stage)
     best_val = best_val_in
-    best_w = w.copy()
+    best_w = start
     stale = 0
     step = 0
-    n_tr = len(Xtr)
     epoch_offset = len(history.epochs)
     for epoch in range(1, epoch_budget + 1):
+        t_epoch = time.perf_counter()
         order = rng.permutation(n_tr)
         batch_losses = []
-        for start in range(0, n_tr, tcfg.batch_size):
-            idx = order[start:start + tcfg.batch_size]
-            loss, g = loss_and_grad(w, Xtr[idx], Ytr[idx])
+        for begin in range(0, n_tr, tcfg.batch_size):
+            idx = order[begin:begin + tcfg.batch_size]
+            # "clip" writes straight into ``out``; the indices are in range
+            Xb = np.take(Xtr, idx, axis=0, out=work.X[:len(idx)], mode="clip")
+            Yb = np.take(Ytr, idx, axis=0, out=work.Y[:len(idx)], mode="clip")
+            loss, _ = loss_and_grad(w, Xb, Yb, work)
             batch_losses.append(loss)
             step += 1
             bc1 = 1.0 - tcfg.beta1 ** step
             bc2 = 1.0 - tcfg.beta2 ** step
-            for p, mi, vi, gi, si in zip(params, m, v, g.W + g.b, scratch):
-                _adam_update(p, mi, vi, gi, si, lr, bc1, bc2, tcfg)
+            _adam_update(params, m, v, work.grad, scratch, lr, bc1, bc2, tcfg)
+        step_seconds = (time.perf_counter() - t_epoch) / len(batch_losses)
 
-        val_pred = forward(w, Xva)
-        val_loss = float(np.mean((val_pred - Yva) ** 2))
+        resid = forward(w, Xva)
+        resid -= Yva
+        resid *= resid
+        val_loss = float(np.mean(resid))
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(
                 f"validation loss non-finite at epoch {epoch_offset + epoch}")
+        train_loss = float(np.mean(batch_losses))
         history.epochs.append({
             "epoch": epoch_offset + epoch,
-            "train_loss": float(np.mean(batch_losses)),
+            "train_loss": train_loss,
             "val_loss": val_loss,
             "wall_seconds": time.perf_counter() - t0,
         })
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("epoch %d (stage %d): train loss %.4e, val loss %.4e; %d steps, "
+                      "%.3f ms per step", epoch_offset + epoch, stage, train_loss, val_loss,
+                      len(batch_losses), 1e3 * step_seconds)
         if val_loss < best_val:
             best_val = val_loss
             best_w = w.copy()
@@ -401,7 +477,7 @@ def load_model(path):
             raise DataError(f"{path}: expected {len(mcfg.widths) - 1} layers, got {len(layers)}")
         W = [np.array(l["W"], dtype=float) for l in layers]
         b = [np.array(l["b"], dtype=float) for l in layers]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
     w = MLPWeights(W, b)
     if w.widths != mcfg.widths:

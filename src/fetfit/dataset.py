@@ -24,7 +24,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .device import simulate_curveset
-from .errors import ConfigError, DataError, ExtractionError, read_text
+from .errors import ConfigError, DataError, ExtractionError, read_text, require_int
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import (
     CGG_MARGIN_FF,
@@ -119,6 +119,7 @@ def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
         feature_cfg = FeatureConfig()
     if n < 100:
         raise ConfigError(f"dataset size must be at least 100, got {n}")
+    require_int("seed", seed, minimum=0)
     ranges.require_nondegenerate()
 
     rng = np.random.default_rng(seed)

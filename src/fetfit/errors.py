@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the text-file reader that
-reports an undecodable file as one of them."""
+"""Exception types shared across the package, the text-file reader that
+reports an undecodable file as one of them, and the integer-setting check
+that reports a bad setting as a ConfigError."""
+
+import numpy as np
 
 
 class FetfitError(Exception):
@@ -43,3 +46,12 @@ def read_text(path, error=DataError) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def require_int(name: str, value, minimum: int | None = None):
+    """Raise ConfigError unless ``value`` is an int or numpy integer (a bool
+    is not) no smaller than ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")

@@ -1,6 +1,7 @@
 """Network tests: activation, init, forward, gradients, training, model I/O."""
 
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from fetfit.ann import (
     DEFAULT_HIDDEN,
     _adam_update,
     _sigmoid,
+    _Work,
     MLPConfig,
     MLPWeights,
     TrainConfig,
@@ -178,6 +180,50 @@ def test_adam_update_matches_reference_expression():
     assert np.array_equal(p, p_ref)
 
 
+def test_loss_and_grad_without_work_returns_fresh_arrays():
+    w = small_weights((6, 9, 7, 3), seed=8)
+    rng = np.random.default_rng(9)
+    X, Y = rng.normal(size=(5, 6)), rng.normal(size=(5, 3))
+    X0, Y0 = X.copy(), Y.copy()
+    _, g1 = loss_and_grad(w, X, Y)
+    _, g2 = loss_and_grad(w, X, Y)
+    arrays = g1.W + g1.b + g2.W + g2.b
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+        for c in w.W + w.b + [X, Y]:
+            assert not np.shares_memory(a, c)
+    assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
+
+def test_loss_and_grad_with_work_matches_a_fresh_call():
+    widths = (6, 9, 7, 3)
+    w = small_weights(widths, seed=10)
+    rng = np.random.default_rng(11)
+    work = _Work(widths, 8)
+    for rows in (8, 3, 8, 1):  # a full batch, then shorter ones in the same buffers
+        X, Y = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 3))
+        loss, g = loss_and_grad(w, X, Y, work)
+        fresh_loss, fresh = loss_and_grad(w, X, Y)
+        assert loss == fresh_loss
+        for a, b in zip(g.W + g.b, fresh.W + fresh.b):
+            assert np.array_equal(a, b)
+            assert np.shares_memory(a, work.grad)
+    with pytest.raises(ValueError, match="hold 8 rows, the batch has 9"):
+        loss_and_grad(w, np.zeros((9, 6)), np.zeros((9, 3)), work)
+
+
+def test_forward_matches_the_plain_expression():
+    w = small_weights((5, 7, 4, 3), seed=12)
+    for x in (np.random.default_rng(13).normal(size=5),
+              np.random.default_rng(14).normal(size=(9, 5))):
+        z = np.atleast_2d(x)
+        for Wi, bi in zip(w.W[:-1], w.b[:-1]):
+            z = swish(z @ Wi + bi)
+        want = z @ w.W[-1] + w.b[-1]
+        assert np.array_equal(forward(w, x), want[0] if x.ndim == 1 else want)
+
+
 def tiny_dataset(n=200, seed=12):
     """Small synthetic regression problem shaped like the real one."""
     rng = np.random.default_rng(seed)
@@ -226,6 +272,62 @@ def test_train_reproducible_and_checkpoint_monotone():
     assert val_loss <= h1.val_losses().min() + 1e-15
 
 
+def golden_dataset(n, seed):
+    """Noisy linear targets drawn with ``normal``/``uniform`` only, whose
+    bits do not depend on numpy's CPU dispatch (``exp`` would)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 24))
+    W_true = rng.normal(size=(24, 14)) * 0.1
+    Y01 = 0.5 + X @ W_true + rng.uniform(-0.3, 0.3, size=(n, 14))
+    lo, hi = DEFAULT_RANGES.lo_vector(), DEFAULT_RANGES.hi_vector()
+    n_tr, n_va = int(0.8 * n), int(0.1 * n)
+    split = np.array(["train"] * n_tr + ["val"] * n_va + ["test"] * (n - n_tr - n_va),
+                     dtype=object)
+    return Dataset(X=X, Y=lo + Y01 * (hi - lo), split=split, seed=seed, ranges=DEFAULT_RANGES)
+
+
+# sha256 over the trained weights and every epoch's train and val loss,
+# recorded before the training step was made allocation-free: the weight
+# buffers and in-place activations must not change a bit.
+@pytest.mark.parametrize("n, seed, mcfg, tcfg, digest", [
+    (300, 31, MLPConfig(seed=5),
+     TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=30, patience=3, seed=6,
+                 refine_factors=(0.1,)),
+     "9e14bcfa82d0ac9780ef9193cb8a7e29753e48316af9e1fbdb689293acc637ea"),
+    (250, 32, MLPConfig(widths=(24, 16, 12, 14), seed=7),
+     TrainConfig(learning_rate=3e-2, batch_size=48, max_epochs=40, patience=4, seed=8,
+                 refine_factors=(0.3, 0.1)),
+     "aed83568e74cf8e11b1b32a068f72d33979c8b0c55fc2392aec32c44fef1cc90"),
+], ids=["default-widths", "small"])
+def test_training_golden(n, seed, mcfg, tcfg, digest):
+    ds = golden_dataset(n, seed)
+    w, hist = train(ds, identity_norm(ds), mcfg, tcfg)
+    # the run covers a short last batch, an early stop and the refinement stages
+    assert len(ds.indices("train")) % tcfg.batch_size != 0
+    stage_budgets = tcfg.max_epochs + len(tcfg.refine_factors) * max(tcfg.patience + 1,
+                                                                      tcfg.max_epochs // 2)
+    assert len(hist.epochs) < stage_budgets
+    h = hashlib.sha256()
+    for a in w.W + w.b:
+        h.update(a.tobytes())
+    h.update(np.array([[e["train_loss"], e["val_loss"]] for e in hist.epochs]).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_train_logs_one_debug_line_per_epoch(caplog):
+    ds = golden_dataset(250, 33)
+    tcfg = TrainConfig(batch_size=48, max_epochs=6, patience=2, seed=1, refine_factors=(0.5,))
+    with caplog.at_level(logging.DEBUG, logger="fetfit.ann"):
+        _, hist = train(ds, identity_norm(ds), MLPConfig(widths=(24, 8, 14), seed=2), tcfg)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == len(hist.epochs)
+    for line, e in zip(lines, hist.epochs):
+        assert line.startswith(f"epoch {e['epoch']} (stage ")
+        assert f"train loss {e['train_loss']:.4e}, val loss {e['val_loss']:.4e}; 5 steps" in line
+        assert line.endswith(" ms per step")
+    assert "(stage 0)" in lines[0] and "(stage 1)" in lines[-1]
+
+
 def test_full_batch_order_invariance():
     ds = tiny_dataset(n=120, seed=14)
     norm = identity_norm(ds)
@@ -253,11 +355,35 @@ def test_train_rejects_shape_mismatch():
     {"beta1": 1.0},
     {"beta2": 1.5},
     {"beta2": 0.0},
+    {"batch_size": 2.5},
+    {"max_epochs": 10.5},
+    {"patience": 2.5},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"seed": np.int64(-1)},
+    {"seed": True},
+    {"batch_size": "64"},
 ], ids=["lr-nan", "eps-nan", "eps-inf", "beta1-nan", "beta1-one", "beta2-above-one",
-        "beta2-zero"])
+        "beta2-zero", "batch-size-float", "max-epochs-float", "patience-float", "seed-float",
+        "seed-negative", "seed-negative-numpy", "seed-bool", "batch-size-str"])
 def test_train_config_rejects_bad_settings(setting):
     with pytest.raises(ConfigError):
         TrainConfig(**setting)
+
+
+def test_integer_settings_accept_numpy_ints():
+    tcfg = TrainConfig(batch_size=np.int64(32), max_epochs=np.int32(5), patience=np.int64(2),
+                       seed=np.uint8(3))
+    assert (tcfg.batch_size, tcfg.max_epochs, tcfg.patience, tcfg.seed) == (32, 5, 2, 3)
+    assert MLPConfig(seed=np.int64(4)).seed == 4
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])
+def test_seeds_are_checked_at_the_constructors(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        MLPConfig(seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        build_dataset(100, seed=seed)
 
 
 def test_predict_params_clips_to_ranges():
@@ -365,7 +491,8 @@ def test_model_load_rejects_bad_files(tmp_path):
         with pytest.raises(DataError, match=f"model file lacks '{key}'"):
             load_model(no_section)
 
-    for key, value in (("mlp", {}), ("layers", [{"W": [[0.0]]}] * 5), ("normalizer", [])):
+    for key, value in (("mlp", {}), ("mlp", {**doc["mlp"], "seed": -1}),
+                       ("layers", [{"W": [[0.0]]}] * 5), ("normalizer", [])):
         malformed = json.loads(path.read_text())
         malformed[key] = value
         bad_section = tmp_path / f"bad_{key}.json"

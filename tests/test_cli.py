@@ -350,6 +350,18 @@ def test_nan_train_setting_exits_3(tmp_path, capsys):
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "100", "--seed", "-1"],
+    ["train", "--data", "absent.csv", "--seed", "-1"],
+], ids=["gen", "train"])
+def test_negative_seed_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "fetfit: error: ConfigError: seed must be >= 0, got -1\n"
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_train_echoes_refine_schedule(tmp_path, trained_dirs):
     gen_dir, _ = trained_dirs
     cfg = tmp_path / "cfg.json"

@@ -1,10 +1,15 @@
 """Surrogate device model tests."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fetfit
 from fetfit.device import (
     CV_GRID,
     IV_GRID_HIGH,
@@ -23,7 +28,9 @@ from fetfit.errors import InvalidParameterError
 from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams
 from fetfit.verify import _from_unit_box, _log_box, _vector_objective
 
+from ._dispatch import AVX2_ONLY, dispatch_family, golden
 from ._sampling import sample_params_list
+from .test_dataset import GOLDEN_DATASET_SHA256
 
 # Golden values from tests/_oracles.py (mpmath re-evaluation of the model
 # equations at 50-digit precision).
@@ -309,9 +316,13 @@ def test_curve_validation():
         Curve(CurveKind.IDS_VGS, [0.0, 0.01], [1e-9, float("inf")], vds=0.05)
 
 
-# sha256 of the kernels' outputs below, recorded before the kernels were
-# rewritten to work in place: every bit of every value must stay the same
-GOLDEN_KERNEL_DIGEST = "eb4ce79c3680910035f0aad5f156f0917e975c3fb2e3a95b14bebd294a1049eb"
+# sha256 of the kernels' outputs below per CPU dispatch family, recorded
+# before the kernels were rewritten to work in place: every bit of every
+# value must stay the same
+GOLDEN_KERNEL_DIGEST = {
+    "X86_V4": "eb4ce79c3680910035f0aad5f156f0917e975c3fb2e3a95b14bebd294a1049eb",
+    "X86_V3": "8d94f13cf306d64549a85ce007979033dea387b75740b82c509aa098a74cb73b",
+}
 
 
 def _kernel_digest() -> str:
@@ -358,4 +369,29 @@ def _kernel_digest() -> str:
 
 
 def test_kernel_digest_golden():
-    assert _kernel_digest() == GOLDEN_KERNEL_DIGEST
+    assert _kernel_digest() == golden(GOLDEN_KERNEL_DIGEST, "kernel digest")
+
+
+def test_a_family_without_a_digest_fails_naming_it():
+    with pytest.raises(pytest.fail.Exception,
+                       match=f"no kernel digest recorded for the CPU dispatch family "
+                             f"{dispatch_family()}$"):
+        golden({}, "kernel digest")
+
+
+@pytest.mark.skipif(dispatch_family() != "X86_V4",
+                    reason="without X86_V4 the direct goldens run the X86_V3 family")
+def test_goldens_of_the_x86_v3_family():
+    root = Path(__file__).resolve().parent.parent
+    code = ("import pathlib, tempfile; from tests._dispatch import dispatch_family; "
+            "from tests.test_dataset import dataset_digest; "
+            "from tests.test_device import _kernel_digest; "
+            "tmp = tempfile.TemporaryDirectory(); "
+            "print(dispatch_family(), dataset_digest(pathlib.Path(tmp.name)), _kernel_digest())")
+    path = os.pathsep.join([str(Path(fetfit.__file__).parent.parent), str(root),
+                            os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=AVX2_ONLY)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, cwd=root, check=True, timeout=120)
+    assert out.stdout.split() == ["X86_V3", GOLDEN_DATASET_SHA256["X86_V3"],
+                                  GOLDEN_KERNEL_DIGEST["X86_V3"]]
