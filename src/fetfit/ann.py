@@ -27,7 +27,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,9 +56,12 @@ class MLPConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 2 or any(w <= 0 for w in self.widths):
-            raise ConfigError(f"bad layer widths {self.widths}")
+        widths = tuple(self.widths)
+        for w in widths:
+            require_int("layer width", w, minimum=1)
+        if len(widths) < 2:
+            raise ConfigError(f"bad layer widths {widths}")
+        object.__setattr__(self, "widths", tuple(map(int, widths)))  # numpy ints too
         if self.activation != "swish":
             raise ConfigError(f"unsupported activation {self.activation!r}")
         if self.init != "he-normal":
@@ -273,13 +276,12 @@ class TrainHistory:
 
 
 def train(ds: Dataset, norm: Normalizer, mcfg: MLPConfig | None = None,
-          tcfg: TrainConfig | None = None, initial_weights: MLPWeights | None = None):
+          tcfg: TrainConfig | None = None):
     """Mini-batch training with adaptive moments and early stopping.
 
     Returns (weights, history); the weights are the checkpoint with the best
-    validation loss seen. Pass ``initial_weights`` to continue from an
-    earlier run (e.g. a lower-learning-rate refinement stage). Aborts with
-    TrainingDivergedError if the validation loss goes non-finite.
+    validation loss seen. Aborts with TrainingDivergedError if the
+    validation loss goes non-finite.
     """
     if mcfg is None:
         mcfg = MLPConfig()
@@ -298,23 +300,8 @@ def train(ds: Dataset, norm: Normalizer, mcfg: MLPConfig | None = None,
     Xva = norm.normalize_features(ds.X[va])
     Yva = norm.normalize_params(ds.Y[va])
 
-    if initial_weights is not None:
-        if initial_weights.widths != mcfg.widths:
-            raise ConfigError(
-                f"initial weights {initial_weights.widths} do not match config {mcfg.widths}"
-            )
-        w = initial_weights
-    else:
-        w = init_weights(mcfg)
-    history = TrainHistory(meta={
-        "deterministic": True,
-        "mlp": {"widths": list(mcfg.widths), "activation": mcfg.activation,
-                "init": mcfg.init, "seed": mcfg.seed},
-        "train": {"learning_rate": tcfg.learning_rate, "batch_size": tcfg.batch_size,
-                  "max_epochs": tcfg.max_epochs, "patience": tcfg.patience,
-                  "beta1": tcfg.beta1, "beta2": tcfg.beta2, "eps": tcfg.eps,
-                  "seed": tcfg.seed, "refine_factors": list(tcfg.refine_factors)},
-    })
+    w = init_weights(mcfg)
+    history = TrainHistory(meta={"deterministic": True, "mlp": asdict(mcfg), "train": asdict(tcfg)})
     t0 = time.perf_counter()
     stages = [(tcfg.learning_rate, tcfg.max_epochs)]
     stages += [(tcfg.learning_rate * f, max(tcfg.patience + 1, tcfg.max_epochs // 2))
@@ -438,8 +425,7 @@ def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "mlp": {"widths": list(mcfg.widths), "activation": mcfg.activation,
-                "init": mcfg.init, "seed": mcfg.seed},
+        "mlp": asdict(mcfg),
         "normalizer": norm.to_dict(),
         "layers": [{"W": wi.tolist(), "b": bi.tolist()} for wi, bi in zip(w.W, w.b)],
     }
@@ -469,8 +455,7 @@ def load_model(path):
     if missing:
         raise DataError(f"{path}: model file lacks {', '.join(map(repr, missing))}")
     try:
-        mcfg = MLPConfig(widths=tuple(doc["mlp"]["widths"]), activation=doc["mlp"]["activation"],
-                         init=doc["mlp"]["init"], seed=int(doc["mlp"]["seed"]))
+        mcfg = MLPConfig(**{f.name: doc["mlp"][f.name] for f in fields(MLPConfig)})
         norm = Normalizer.from_dict(doc["normalizer"])
         layers = doc["layers"]
         if len(layers) != len(mcfg.widths) - 1:

@@ -15,13 +15,14 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import ann, curve_io, dataset, svg, verify
 from .device import CurveKind, simulate_curveset, simulate_ids_vds
 from .errors import ConfigError, DataError, ExtractionError, FetfitError, read_text
 from .features import FEATURE_NAMES, FeatureConfig, featurize
-from .params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
+from .params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams, ParamRanges
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -41,11 +42,12 @@ _CONFIG_SECTIONS = {
     "train": dict,
     "paths": dict,
 }
-_FEATURE_KEYS = {"i_crit", "ss_lo", "ss_hi"}
+#: Config keys that name a settings field differently.
+_ALIASES = {"refine": "refine_factors"}
+_FEATURE_KEYS = {f.name for f in fields(FeatureConfig)}
 _MLP_KEYS = {"hidden", "seed"}
-_TRAIN_KEYS = {"learning_rate", "batch_size", "max_epochs", "patience",
-               "beta1", "beta2", "eps", "seed", "refine"}
-_PATH_KEYS = {"dataset", "model", "out"}
+_TRAIN_KEYS = {f.name for f in fields(ann.TrainConfig)} - set(_ALIASES.values()) | set(_ALIASES)
+_PATH_KEYS = {"dataset"}
 
 
 class Outputs:
@@ -101,8 +103,18 @@ def _config_section(section: str):
     """Report a malformed value in one config section as a ConfigError."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section!r} config: {exc}") from exc
+
+
+def _settings(cls, section: str, cfg: dict):
+    """The settings dataclass ``cls`` from one config section. Float fields
+    take any JSON number; every other value goes to the constructor as
+    given, so an integer setting written as a float is rejected there."""
+    floats = {f.name for f in fields(cls) if f.type in (float, "float")}
+    with _config_section(section):
+        kw = {_ALIASES.get(k, k): v for k, v in cfg.get(section, {}).items()}
+        return cls(**{k: float(v) if k in floats else v for k, v in kw.items()})
 
 
 def resolve_ranges(cfg: dict) -> ParamRanges:
@@ -113,51 +125,41 @@ def resolve_ranges(cfg: dict) -> ParamRanges:
     with _config_section("ranges"):
         for k, v in overrides.items():
             if not isinstance(v, list) or len(v) != 2:
-                raise ConfigError(f"bad 'ranges' config: {k} must be a [lo, hi] pair, got {v!r}")
+                raise ValueError(f"{k} must be a [lo, hi] pair, got {v!r}")
             merged[k] = [float(v[0]), float(v[1])]
     return ParamRanges.from_dict(merged)
 
 
 def resolve_feature_cfg(cfg: dict) -> FeatureConfig:
-    with _config_section("features"):
-        kw = {k: float(v) for k, v in cfg.get("features", {}).items()}
-        return FeatureConfig(**kw)
+    return _settings(FeatureConfig, "features", cfg)
 
 
 def resolve_mlp_cfg(cfg: dict) -> ann.MLPConfig:
     section = cfg.get("mlp", {})
     with _config_section("mlp"):
-        hidden = tuple(int(v) for v in section.get("hidden", ann.DEFAULT_HIDDEN))
-        seed = int(section.get("seed", 0))
-    return ann.MLPConfig(widths=(len(FEATURE_NAMES), *hidden, len(PARAM_NAMES)), seed=seed)
+        hidden = section.get("hidden", ann.DEFAULT_HIDDEN)
+        return ann.MLPConfig(widths=(len(FEATURE_NAMES), *hidden, len(PARAM_NAMES)),
+                             seed=section.get("seed", 0))
 
 
 def resolve_train_cfg(cfg: dict, seed_flag=None) -> ann.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    if seed_flag is not None:
-        section["seed"] = seed_flag
-    kw = {}
-    with _config_section("train"):
-        for k, v in section.items():
-            if k == "refine":
-                kw["refine_factors"] = tuple(float(x) for x in v)
-            elif k in ("batch_size", "max_epochs", "patience", "seed"):
-                kw[k] = int(v)
-            else:
-                kw[k] = float(v)
-    return ann.TrainConfig(**kw)
+    tcfg = _settings(ann.TrainConfig, "train", cfg)
+    return tcfg if seed_flag is None else replace(tcfg, seed=seed_flag)
 
 
 def echo_config(out: Outputs, command: str, cfg: dict, extras: dict):
-    fc = resolve_feature_cfg(cfg)
     resolved = {
         "command": command,
         "ranges": resolve_ranges(cfg).to_dict(),
-        "features": {"i_crit": fc.i_crit, "ss_lo": fc.ss_lo, "ss_hi": fc.ss_hi},
+        "features": asdict(resolve_feature_cfg(cfg)),
     }
     resolved.update(extras)
-    with open(out.path("config_resolved.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+    _write_json(out.path("config_resolved.json"), resolved, sort_keys=True)
+
+
+def _write_json(path, doc, sort_keys=False):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
@@ -171,64 +173,66 @@ def read_params_file(path) -> ModelParams:
     return ModelParams.from_dict(doc)
 
 
-def write_params_file(params: ModelParams, path):
-    with open(path, "w") as fh:
-        json.dump(params.to_dict(), fh, indent=2)
-        fh.write("\n")
+@contextmanager
+def _naming(directory):
+    """Prefix a data or extraction error, such as a grid off the default
+    sweeps, with the curve directory it came from (None: no directory)."""
+    try:
+        yield
+    except (DataError, ExtractionError) as exc:
+        if directory is None:
+            raise
+        raise type(exc)(f"{directory}: {exc}") from exc
+
+
+def _generate(out: Outputs, n: int, seed: int, cfg: dict):
+    """Build and save a dataset; returns it with the wall time taken."""
+    ranges, fcfg = resolve_ranges(cfg), resolve_feature_cfg(cfg)
+    t0 = time.perf_counter()
+    ds = dataset.build_dataset(n, seed=seed, ranges=ranges, feature_cfg=fcfg)
+    dataset.save_dataset(ds, out.path("dataset.csv"))
+    return ds, time.perf_counter() - t0
+
+
+def _train(out: Outputs, ds, mcfg: ann.MLPConfig, tcfg: ann.TrainConfig):
+    """Fit the normalizer, train, and save the model and the history;
+    returns (weights, normalizer, history, training wall time)."""
+    norm = dataset.fit_normalizer(ds)
+    t0 = time.perf_counter()
+    w, history = ann.train(ds, norm, mcfg, tcfg)
+    wall = time.perf_counter() - t0
+    ann.save_model(out.path("model.json"), w, norm, mcfg)
+    ann.write_history_csv(history, out.path("history.csv"))
+    return w, norm, history, wall
 
 
 # ---- subcommands ----
 
-def cmd_gen(args) -> int:
-    cfg = load_config(args.config)
-    out = Outputs(args.out)
-    try:
-        ranges = resolve_ranges(cfg)
-        fcfg = resolve_feature_cfg(cfg)
-        echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed})
-        t0 = time.perf_counter()
-        ds = dataset.build_dataset(args.n, seed=args.seed, ranges=ranges, feature_cfg=fcfg)
-        dataset.save_dataset(ds, out.path("dataset.csv"))
-        wall = time.perf_counter() - t0
-        print(f"generated {args.n} devices in {wall:.2f} s -> {out.out_dir / 'dataset.csv'}")
-        return EXIT_OK
-    except BaseException:
-        out.cleanup()
-        raise
+def cmd_gen(args, cfg: dict, out: Outputs) -> int:
+    echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed})
+    _, wall = _generate(out, args.n, args.seed, cfg)
+    print(f"generated {args.n} devices in {wall:.2f} s -> {out.out_dir / 'dataset.csv'}")
+    return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    out = Outputs(args.out)
-    try:
-        data_path = args.data or cfg.get("paths", {}).get("dataset")
-        if not data_path:
-            raise ConfigError("no dataset: pass --data or set paths.dataset in the config")
-        mcfg = resolve_mlp_cfg(cfg)
-        seed_flag = args.seed
-        if seed_flag is None and "seed" not in cfg.get("train", {}):
-            seed_flag = cfg.get("seed")  # top-level seed as fallback
-        tcfg = resolve_train_cfg(cfg, seed_flag=seed_flag)
-        echo_config(out, "train", cfg, {
-            "data": str(data_path),
-            "mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed},
-            "train": {k: getattr(tcfg, k) for k in
-                      ("learning_rate", "batch_size", "max_epochs", "patience",
-                       "beta1", "beta2", "eps", "seed", "refine_factors")},
-        })
-        ds = dataset.load_dataset(data_path)
-        norm = dataset.fit_normalizer(ds)
-        t0 = time.perf_counter()
-        w, history = ann.train(ds, norm, mcfg, tcfg)
-        wall = time.perf_counter() - t0
-        ann.save_model(out.path("model.json"), w, norm, mcfg)
-        ann.write_history_csv(history, out.path("history.csv"))
-        print(f"trained {history.meta['trained_epochs']} epochs in {wall:.2f} s; "
-              f"best val loss {history.meta['best_val_loss']:.3e}")
-        return EXIT_OK
-    except BaseException:
-        out.cleanup()
-        raise
+def cmd_train(args, cfg: dict, out: Outputs) -> int:
+    data_path = args.data or cfg.get("paths", {}).get("dataset")
+    if not data_path:
+        raise ConfigError("no dataset: pass --data or set paths.dataset in the config")
+    mcfg = resolve_mlp_cfg(cfg)
+    seed_flag = args.seed
+    if seed_flag is None and "seed" not in cfg.get("train", {}):
+        seed_flag = cfg.get("seed")  # top-level seed as fallback
+    tcfg = resolve_train_cfg(cfg, seed_flag=seed_flag)
+    echo_config(out, "train", cfg, {
+        "data": str(data_path),
+        "mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed},
+        "train": asdict(tcfg),
+    })
+    _, _, history, wall = _train(out, dataset.load_dataset(data_path), mcfg, tcfg)
+    print(f"trained {history.meta['trained_epochs']} epochs in {wall:.2f} s; "
+          f"best val loss {history.meta['best_val_loss']:.3e}")
+    return EXIT_OK
 
 
 def _discover_devices(curves_dir: Path) -> list:
@@ -246,227 +250,165 @@ def _discover_devices(curves_dir: Path) -> list:
     return devices
 
 
-def cmd_features(args) -> int:
-    cfg = load_config(args.config)
-    out = Outputs(args.out)
-    try:
-        fcfg = resolve_feature_cfg(cfg)
-        echo_config(out, "features", cfg, {"curves": str(args.curves)})
-        rows = []
-        for name, directory in _discover_devices(args.curves):
-            cs = curve_io.read_curveset_dir(directory)
-            rows.append((name, featurize(cs, fcfg)))
-        lines = ["device," + ",".join(FEATURE_NAMES)]
-        for name, vec in rows:
-            lines.append(name + "," + ",".join("%.17g" % v for v in vec))
-        out.path("features.csv").write_text("\n".join(lines) + "\n")
-        print(f"extracted features for {len(rows)} device(s) -> {out.out_dir / 'features.csv'}")
-        return EXIT_OK
-    except BaseException:
-        out.cleanup()
-        raise
+def cmd_features(args, cfg: dict, out: Outputs) -> int:
+    fcfg = resolve_feature_cfg(cfg)
+    echo_config(out, "features", cfg, {"curves": str(args.curves)})
+    lines = ["device," + ",".join(FEATURE_NAMES)]
+    for name, directory in _discover_devices(args.curves):
+        cs = curve_io.read_curveset_dir(directory)
+        with _naming(directory):
+            vec = featurize(cs, fcfg)
+        lines.append(name + "," + ",".join("%.17g" % v for v in vec))
+    out.path("features.csv").write_text("\n".join(lines) + "\n")
+    print(f"extracted features for {len(lines) - 1} device(s) -> {out.out_dir / 'features.csv'}")
+    return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    cfg = load_config(args.config)
-    out = Outputs(args.out)
-    try:
-        fcfg = resolve_feature_cfg(cfg)
-        echo_config(out, "extract", cfg, {"curves": str(args.curves), "model": str(args.model)})
-        w, norm, _ = ann.load_model(args.model)
-        cs = curve_io.read_curveset_dir(args.curves)
-        try:
-            fv = featurize(cs, fcfg)
-        except ExtractionError as exc:  # such as a grid off the default sweeps
-            raise ExtractionError(f"{args.curves}: {exc}") from exc
-        params = ann.predict_params(w, norm, fv)
-        write_params_file(params, out.path("params.json"))
-        print(f"extracted 14 parameters -> {out.out_dir / 'params.json'}")
-        return EXIT_OK
-    except BaseException:
-        out.cleanup()
-        raise
-
-
-def _emit_overlays(out: Outputs, report, target_cs, subdir=""):
-    pred_cs = simulate_curveset(report.predicted)
-    pairs = {
-        "cgg": (target_cs.cgg_low, pred_cs.cgg_low, False),
-        "ids_low": (target_cs.ids_low, pred_cs.ids_low, True),
-        "ids_high": (target_cs.ids_high, pred_cs.ids_high, True),
-        "gm_low": (target_cs.gm_low(), pred_cs.gm_low(), False),
-        "gm_high": (target_cs.gm_high(), pred_cs.gm_high(), False),
-    }
-    for label, (tgt, pred, log_y) in pairs.items():
-        curve_io.write_overlay_csv(tgt, pred, out.path(subdir, "overlays", f"{label}.csv"))
-        unit = {CurveKind.IDS_VGS: "Ids (A)", CurveKind.CGG_VGS: "Cgg (fF)",
-                CurveKind.GM_VGS: "Gm (A/V)"}[tgt.kind]
-        bias = f"Vds={tgt.vds:g} V" if tgt.vds is not None else ""
-        svg.write_overlay_svg(
-            out.path(subdir, "plots", f"{label}.svg"),
-            tgt.x, tgt.y, pred.y,
-            title=f"{tgt.kind.value} {bias} (rms {report.error(label).rms_percent:.3g}%)",
-            x_label="Vgs (V)", y_label=unit, log_y=log_y,
-        )
+def cmd_extract(args, cfg: dict, out: Outputs) -> int:
+    fcfg = resolve_feature_cfg(cfg)
+    echo_config(out, "extract", cfg, {"curves": str(args.curves), "model": str(args.model)})
+    w, norm, _ = ann.load_model(args.model)
+    cs = curve_io.read_curveset_dir(args.curves)
+    with _naming(args.curves):
+        fv = featurize(cs, fcfg)
+    params = ann.predict_params(w, norm, fv)
+    _write_json(out.path("params.json"), params.to_dict())
+    print(f"extracted 14 parameters -> {out.out_dir / 'params.json'}")
+    return EXIT_OK
 
 
 #: Gate biases of the output-characteristic family plotted by cmd_verify.
 OUTPUT_FAMILY_VGS = (0.5, 0.6, 0.7)
 
+#: x label, y label and log y axis of an overlay plot, per curve kind.
+_PLOT_AXES = {
+    CurveKind.IDS_VGS: ("Vgs (V)", "Ids (A)", True),
+    CurveKind.CGG_VGS: ("Vgs (V)", "Cgg (fF)", False),
+    CurveKind.GM_VGS: ("Vgs (V)", "Gm (A/V)", False),
+    CurveKind.IDS_VDS: ("Vds (V)", "Ids (A)", True),
+}
 
-def _emit_output_family(out: Outputs, report):
-    """Ids-Vds overlays at fixed gate biases; needs known true parameters."""
-    fam_true = simulate_ids_vds(report.true_params, OUTPUT_FAMILY_VGS)
-    fam_pred = simulate_ids_vds(report.predicted, OUTPUT_FAMILY_VGS)
-    for ct, cp in zip(fam_true, fam_pred):
-        label = f"ids_vds_vgs{ct.vgs:g}"
-        curve_io.write_overlay_csv(ct, cp, out.path("overlays", f"{label}.csv"))
+
+def _write_overlays(out: Outputs, rows, subdir=""):
+    """An overlay CSV and an SVG plot per (label, target, predicted) row."""
+    for label, tgt, pred in rows:
+        curve_io.write_overlay_csv(tgt, pred, out.path(subdir, "overlays", f"{label}.csv"))
+        x_label, y_label, log_y = _PLOT_AXES[tgt.kind]
+        bias, value = ("Vgs", tgt.vgs) if tgt.kind is CurveKind.IDS_VDS else ("Vds", tgt.vds)
+        held = f"{bias}={value:g} V" if value is not None else ""
         svg.write_overlay_svg(
-            out.path("plots", f"{label}.svg"), ct.x, ct.y, cp.y,
-            title=f"IdsVds Vgs={ct.vgs:g} V (rms {verify.rms_percent(cp, ct):.3g}%)",
-            x_label="Vds (V)", y_label="Ids (A)", log_y=True,
+            out.path(subdir, "plots", f"{label}.svg"), tgt.x, tgt.y, pred.y,
+            title=f"{tgt.kind.value} {held} (rms {verify.rms_percent(pred, tgt):.3g}%)",
+            x_label=x_label, y_label=y_label, log_y=log_y,
         )
 
 
-def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    out = Outputs(args.out)
-    try:
-        if args.variability and not args.params:
-            raise ConfigError("--variability needs --params (true base parameters)")
-        fcfg = resolve_feature_cfg(cfg)
-        ranges = resolve_ranges(cfg)
-        echo_config(out, "verify", cfg, {
-            "curves": str(args.curves) if args.curves else None,
-            "params": str(args.params) if args.params else None,
-            "model": str(args.model), "variability": bool(args.variability),
-        })
-        w, norm, _ = ann.load_model(args.model)
-        if args.variability:
-            base = read_params_file(args.params)
-            reports = verify.variability_suite(base, w, norm, cfg=fcfg, ranges=ranges)
-            doc = {
-                "reports": [r.to_dict() for r in reports],
-                "average_rms_percent": verify.aggregate_curve_errors(reports),
-            }
-            for r in reports:
-                knob_dir = f"knob_lg{r.knobs[0]:g}_eot{r.knobs[1]:g}"
-                true_cs = simulate_curveset(r.true_params)
-                _emit_overlays(out, r, true_cs, subdir=knob_dir)
-            with open(out.path("report.json"), "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-            print("variability suite: average rms% per curve:",
-                  json.dumps(doc["average_rms_percent"], sort_keys=True))
-            return EXIT_OK
-
-        if args.params:
-            true_params = read_params_file(args.params)
-            target = simulate_curveset(true_params)
-        else:
-            true_params = None
-            target = curve_io.read_curveset_dir(args.curves)
-        try:
-            report = verify.round_trip(target, w, norm, true_params=true_params,
-                                       cfg=fcfg, ranges=ranges)
-        except (DataError, ExtractionError) as exc:
-            if args.params:
-                raise
-            # such as a grid off the default sweeps
-            raise type(exc)(f"{args.curves}: {exc}") from exc
-        with open(out.path("report.json"), "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        _emit_overlays(out, report, target)
-        if report.true_params is not None:
-            _emit_output_family(out, report)
-        for ce in report.curve_errors:
-            sub = ("" if ce.subthreshold_rms_percent is None
-                   else f"  subthreshold {ce.subthreshold_rms_percent:.4g}%")
-            print(f"{ce.label:9s} rms {ce.rms_percent:.4g}%{sub}")
-        return EXIT_OK
-    except BaseException:
-        out.cleanup()
-        raise
+def _report_rows(report, target) -> list:
+    """Overlay rows of the five reported curves of a round trip."""
+    pred_cs = simulate_curveset(report.predicted)
+    return [(label, tgt, pred) for label, pred, tgt in verify._report_pairs(pred_cs, target)]
 
 
-def cmd_demo(args) -> int:
-    cfg = load_config(args.config)
-    out = Outputs(args.out)
-    try:
-        n = args.n
-        n_devices = args.devices
-        echo_config(out, "demo", cfg, {
-            "n": n, "devices": n_devices,
-            "gen_seed": DEMO_GEN_SEED, "train_seed": DEMO_TRAIN_SEED,
-        })
-        ranges = resolve_ranges(cfg)
-        fcfg = resolve_feature_cfg(cfg)
-        mcfg = resolve_mlp_cfg(cfg)
-        tcfg = resolve_train_cfg(cfg, seed_flag=DEMO_TRAIN_SEED)
-
-        print(f"[1/4] generating {n} devices (seed {DEMO_GEN_SEED})")
-        t0 = time.perf_counter()
-        ds = dataset.build_dataset(n, seed=DEMO_GEN_SEED, ranges=ranges, feature_cfg=fcfg)
-        gen_wall = time.perf_counter() - t0
-        dataset.save_dataset(ds, out.path("dataset.csv"))
-        print(f"      {gen_wall:.1f} s")
-
-        print("[2/4] training the extractor")
-        norm = dataset.fit_normalizer(ds)
-        t0 = time.perf_counter()
-        w, history = ann.train(ds, norm, mcfg, tcfg)
-        train_wall = time.perf_counter() - t0
-        ann.save_model(out.path("model.json"), w, norm, mcfg)
-        ann.write_history_csv(history, out.path("history.csv"))
-        print(f"      {history.meta['trained_epochs']} epochs, {train_wall:.1f} s, "
-              f"best val loss {history.meta['best_val_loss']:.3e}")
-
-        print(f"[3/4] round-tripping {n_devices} held-out devices")
-        reports, medians = verify.holdout_round_trip(ds, norm, w, n_devices=n_devices, cfg=fcfg)
-
-        print("[4/4] variability suite on the reference device")
-        from .params import REFERENCE_PARAMS
-        var_reports = verify.variability_suite(REFERENCE_PARAMS, w, norm, cfg=fcfg, ranges=ranges)
-        var_avg = verify.aggregate_curve_errors(var_reports[1:])  # the four knob settings
-
-        rows = []
-        ok = True
-        for label in ("cgg", "ids_low", "ids_high", "gm_low", "gm_high",
-                      "sub_low", "sub_high"):
-            limit = verify.ROUND_TRIP_LIMITS[label]
-            passed = medians[label] <= limit
-            ok &= passed
-            rows.append((f"median {label}", medians[label], limit, passed))
-        for label in verify.REPORT_CURVES:
-            limit = verify.VARIABILITY_FACTOR * medians[label]
-            passed = var_avg[label] <= limit
-            ok &= passed
-            rows.append((f"variability avg {label}", var_avg[label], limit, passed))
-
-        print(f"\n{'check':28s} {'value':>10s} {'limit':>10s}  result")
-        for name, value, limit, passed in rows:
-            print(f"{name:28s} {value:9.3f}% {limit:9.3f}%  {'PASS' if passed else 'FAIL'}")
-
-        summary = {
-            "gen_seconds": gen_wall,
-            "train_seconds": train_wall,
-            "trained_epochs": history.meta["trained_epochs"],
-            "best_val_loss": history.meta["best_val_loss"],
-            "round_trip_medians": medians,
-            "variability_average": var_avg,
-            "checks": [{"name": r[0], "value": r[1], "limit": r[2], "pass": bool(r[3])}
-                       for r in rows],
-            "pass": bool(ok),
+def cmd_verify(args, cfg: dict, out: Outputs) -> int:
+    if args.variability and not args.params:
+        raise ConfigError("--variability needs --params (true base parameters)")
+    fcfg = resolve_feature_cfg(cfg)
+    ranges = resolve_ranges(cfg)
+    echo_config(out, "verify", cfg, {
+        "curves": str(args.curves) if args.curves else None,
+        "params": str(args.params) if args.params else None,
+        "model": str(args.model), "variability": bool(args.variability),
+    })
+    w, norm, _ = ann.load_model(args.model)
+    if args.variability:
+        base = read_params_file(args.params)
+        reports = verify.variability_suite(base, w, norm, cfg=fcfg, ranges=ranges)
+        doc = {
+            "reports": [r.to_dict() for r in reports],
+            "average_rms_percent": verify.aggregate_curve_errors(reports),
         }
-        with open(out.path("summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        print(f"\ndemo {'PASSED' if ok else 'FAILED'}; summary -> {out.out_dir / 'summary.json'}")
-        return EXIT_OK if ok else EXIT_ACCEPTANCE
-    except BaseException:
-        out.cleanup()
-        raise
+        for r in reports:
+            _write_overlays(out, _report_rows(r, simulate_curveset(r.true_params)),
+                            subdir=f"knob_lg{r.knobs[0]:g}_eot{r.knobs[1]:g}")
+        _write_json(out.path("report.json"), doc)
+        print("variability suite: average rms% per curve:",
+              json.dumps(doc["average_rms_percent"], sort_keys=True))
+        return EXIT_OK
+
+    if args.params:
+        true_params = read_params_file(args.params)
+        target = simulate_curveset(true_params)
+    else:
+        true_params = None
+        target = curve_io.read_curveset_dir(args.curves)
+    with _naming(args.curves):
+        report = verify.round_trip(target, w, norm, true_params=true_params,
+                                   cfg=fcfg, ranges=ranges)
+    _write_json(out.path("report.json"), report.to_dict())
+    rows = _report_rows(report, target)
+    if true_params is not None:  # the output-characteristic family
+        rows += [(f"ids_vds_vgs{ct.vgs:g}", ct, cp) for ct, cp in zip(
+            simulate_ids_vds(true_params, OUTPUT_FAMILY_VGS),
+            simulate_ids_vds(report.predicted, OUTPUT_FAMILY_VGS))]
+    _write_overlays(out, rows)
+    for ce in report.curve_errors:
+        sub = ("" if ce.subthreshold_rms_percent is None
+               else f"  subthreshold {ce.subthreshold_rms_percent:.4g}%")
+        print(f"{ce.label:9s} rms {ce.rms_percent:.4g}%{sub}")
+    return EXIT_OK
+
+
+def cmd_demo(args, cfg: dict, out: Outputs) -> int:
+    echo_config(out, "demo", cfg, {
+        "n": args.n, "devices": args.devices,
+        "gen_seed": DEMO_GEN_SEED, "train_seed": DEMO_TRAIN_SEED,
+    })
+    ranges = resolve_ranges(cfg)
+    fcfg = resolve_feature_cfg(cfg)
+    mcfg = resolve_mlp_cfg(cfg)
+    tcfg = resolve_train_cfg(cfg, seed_flag=DEMO_TRAIN_SEED)
+
+    print(f"[1/4] generating {args.n} devices (seed {DEMO_GEN_SEED})")
+    ds, gen_wall = _generate(out, args.n, DEMO_GEN_SEED, cfg)
+    print(f"      {gen_wall:.1f} s")
+
+    print("[2/4] training the extractor")
+    w, norm, history, train_wall = _train(out, ds, mcfg, tcfg)
+    print(f"      {history.meta['trained_epochs']} epochs, {train_wall:.1f} s, "
+          f"best val loss {history.meta['best_val_loss']:.3e}")
+
+    print(f"[3/4] round-tripping {args.devices} held-out devices")
+    _, medians = verify.holdout_round_trip(ds, norm, w, n_devices=args.devices, cfg=fcfg)
+
+    print("[4/4] variability suite on the reference device")
+    var_reports = verify.variability_suite(REFERENCE_PARAMS, w, norm, cfg=fcfg, ranges=ranges)
+    var_avg = verify.aggregate_curve_errors(var_reports[1:])  # the four knob settings
+
+    checks = [(f"median {label}", medians[label], limit)
+              for label, limit in verify.ROUND_TRIP_LIMITS.items()]
+    checks += [(f"variability avg {label}", var_avg[label],
+                verify.VARIABILITY_FACTOR * medians[label]) for label in verify.REPORT_CURVES]
+    rows = [(name, value, limit, value <= limit) for name, value, limit in checks]
+    ok = all(r[3] for r in rows)
+
+    print(f"\n{'check':28s} {'value':>10s} {'limit':>10s}  result")
+    for name, value, limit, passed in rows:
+        print(f"{name:28s} {value:9.3f}% {limit:9.3f}%  {'PASS' if passed else 'FAIL'}")
+
+    summary = {
+        "gen_seconds": gen_wall,
+        "train_seconds": train_wall,
+        "trained_epochs": history.meta["trained_epochs"],
+        "best_val_loss": history.meta["best_val_loss"],
+        "round_trip_medians": medians,
+        "variability_average": var_avg,
+        "checks": [{"name": r[0], "value": r[1], "limit": r[2], "pass": bool(r[3])}
+                   for r in rows],
+        "pass": bool(ok),
+    }
+    _write_json(out.path("summary.json"), summary)
+    print(f"\ndemo {'PASSED' if ok else 'FAILED'}; summary -> {out.out_dir / 'summary.json'}")
+    return EXIT_OK if ok else EXIT_ACCEPTANCE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        out = Outputs(args.out)
+        try:
+            return args.fn(args, cfg, out)
+        except BaseException:
+            out.cleanup()
+            raise
     except (FetfitError, OSError) as exc:
         print(f"fetfit: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ann import MLPWeights, predict_params
 from .dataset import Normalizer
-from .device import (Curve, CurveSet, ProcessKnobs, _Params, _simulate, apply_knobs,
+from .device import (Curve, CurveKind, CurveSet, ProcessKnobs, _Params, _simulate, apply_knobs,
                      simulate_curveset)
 from .errors import DataError
 from .features import FeatureConfig, featurize
@@ -150,18 +150,23 @@ class VerifyReport:
         }
 
 
-def _five_curve_errors(pred_cs: CurveSet, target: CurveSet, i_crit: float) -> list:
-    # the identical difference stencil is applied to both sides, so its
-    # truncation error cancels in the Gm comparison
-    pairs = [
-        ("cgg", pred_cs.cgg_low, target.cgg_low, False),
-        ("ids_low", pred_cs.ids_low, target.ids_low, True),
-        ("ids_high", pred_cs.ids_high, target.ids_high, True),
-        ("gm_low", pred_cs.gm_low(), target.gm_low(), False),
-        ("gm_high", pred_cs.gm_high(), target.gm_high(), False),
+def _report_pairs(pred_cs: CurveSet, target: CurveSet) -> list:
+    """(label, predicted, target) of each reported curve, in report order.
+    The identical difference stencil is applied to both sides, so its
+    truncation error cancels in the Gm comparison."""
+    return [
+        ("cgg", pred_cs.cgg_low, target.cgg_low),
+        ("ids_low", pred_cs.ids_low, target.ids_low),
+        ("ids_high", pred_cs.ids_high, target.ids_high),
+        ("gm_low", pred_cs.gm_low(), target.gm_low()),
+        ("gm_high", pred_cs.gm_high(), target.gm_high()),
     ]
+
+
+def _five_curve_errors(pred_cs: CurveSet, target: CurveSet, i_crit: float) -> list:
     errors = []
-    for label, pred, tgt, is_iv in pairs:
+    for label, pred, tgt in _report_pairs(pred_cs, target):
+        is_iv = tgt.kind is CurveKind.IDS_VGS
         sub = subthreshold_rms_percent(pred, tgt, i_crit) if is_iv else None
         errors.append(CurveError(
             label=label, kind=tgt.kind.value,

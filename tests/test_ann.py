@@ -376,6 +376,15 @@ def test_integer_settings_accept_numpy_ints():
                        seed=np.uint8(3))
     assert (tcfg.batch_size, tcfg.max_epochs, tcfg.patience, tcfg.seed) == (32, 5, 2, 3)
     assert MLPConfig(seed=np.int64(4)).seed == 4
+    widths = MLPConfig(widths=(np.int64(24), np.int32(14))).widths
+    assert widths == (24, 14) and all(type(w) is int for w in widths)
+
+
+@pytest.mark.parametrize("widths", [(24, 64.7, 14), (24, 0, 14), (24, "8", 14), (24,)],
+                         ids=["float", "zero", "str", "one-layer"])
+def test_mlp_config_rejects_bad_widths(widths):
+    with pytest.raises(ConfigError, match="width"):
+        MLPConfig(widths=widths)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=["negative", "float", "bool", "none"])
@@ -492,6 +501,7 @@ def test_model_load_rejects_bad_files(tmp_path):
             load_model(no_section)
 
     for key, value in (("mlp", {}), ("mlp", {**doc["mlp"], "seed": -1}),
+                       ("mlp", {**doc["mlp"], "seed": 8.0}),
                        ("layers", [{"W": [[0.0]]}] * 5), ("normalizer", [])):
         malformed = json.loads(path.read_text())
         malformed[key] = value

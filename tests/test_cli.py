@@ -1,5 +1,6 @@
 """CLI contract tests on reduced-scale runs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from fetfit.curve_io import write_curveset_dir
 from fetfit.device import IV_X, simulate_curveset
 from fetfit.features import FEATURE_NAMES, FeatureConfig, featurize
 from fetfit.params import REFERENCE_PARAMS
+
+from ._dispatch import golden
 
 FAST_TRAIN = {"train": {"max_epochs": 8, "patience": 7, "refine": []}}
 
@@ -142,12 +145,26 @@ def test_verify_names_the_curve_directory_on_a_grid_mismatch(tmp_path, capsys, t
 
 
 def test_extract_names_the_curve_directory_on_a_grid_mismatch(tmp_path, capsys, trained_dirs):
+    """So does features."""
     device = _off_sweep_device(tmp_path)
-    assert main(["extract", "--curves", str(device), "--model",
-                 str(trained_dirs[1] / "model.json"), "--out", str(tmp_path / "out")]) == 3
-    want = f"fetfit: error: ExtractionError: {device}: " + OFF_SWEEP_ERROR
+    model = ["--model", str(trained_dirs[1] / "model.json")]
+    for command, extra in (("extract", model), ("features", [])):
+        out = tmp_path / command
+        assert main([command, "--curves", str(device), "--out", str(out)] + extra) == 3
+        want = f"fetfit: error: ExtractionError: {device}: " + OFF_SWEEP_ERROR
+        assert capsys.readouterr().err == want
+        assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_features_names_the_failing_device_of_a_directory(tmp_path, capsys):
+    good = tmp_path / "devices" / "a_good"
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), good)
+    bad = _off_sweep_device(tmp_path)
+    bad.rename(tmp_path / "devices" / "b_bad")
+    assert main(["features", "--curves", str(tmp_path / "devices"),
+                 "--out", str(tmp_path / "out")]) == 3
+    want = f"fetfit: error: ExtractionError: {tmp_path / 'devices' / 'b_bad'}: " + OFF_SWEEP_ERROR
     assert capsys.readouterr().err == want
-    assert not (tmp_path / "out" / "params.json").exists()
 
 
 def test_import_loads_no_scipy():
@@ -285,12 +302,20 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tempo": 1}))
-    code = main(["gen", "--n", "100", "--seed", "1", "--out", str(tmp_path / "o"),
-                 "--config", str(cfg)])
-    assert code == 3
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    """paths.out and paths.model were once accepted and never read; the
+    refine schedule has one config name, refine."""
+    cfg_path = tmp_path / "cfg.json"
+    for cfg, message in (({"tempo": 1}, "unknown config key 'tempo'"),
+                         ({"paths": {"out": "elsewhere"}}, "unknown key paths.'out'"),
+                         ({"paths": {"model": "m.json"}}, "unknown key paths.'model'"),
+                         ({"train": {"refine_factors": []}}, "unknown key train.'refine_factors'")):
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["gen", "--n", "100", "--seed", "1", "--out", str(tmp_path / "o"),
+                     "--config", str(cfg_path)])
+        assert code == 3
+        assert capsys.readouterr().err.endswith(message + "\n")
+        assert not any(p.is_file() for p in (tmp_path / "o").rglob("*"))
 
 
 @pytest.mark.parametrize("argv, cfg", [
@@ -298,7 +323,12 @@ def test_unknown_config_key_rejected(tmp_path):
     (["gen", "--n", "100", "--seed", "1"], {"features": {"ss_lo": 1.0, "ss_hi": 0.5}}),
     (["train", "--data", "absent.csv"], {"mlp": {"hidden": 64}}),
     (["train", "--data", "absent.csv"], {"train": {"refine": 0.1}}),
-], ids=["ranges", "features", "mlp", "train"])
+    (["train", "--data", "absent.csv"], {"train": {"batch_size": 2.5}}),
+    (["train", "--data", "absent.csv"], {"train": {"max_epochs": 50.9}}),
+    (["train", "--data", "absent.csv"], {"mlp": {"seed": 2.9}}),
+    (["train", "--data", "absent.csv"], {"mlp": {"hidden": [64.7]}}),
+], ids=["ranges", "features", "mlp", "train", "train-batch-size-float",
+        "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float"])
 def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -373,14 +403,26 @@ def test_train_echoes_refine_schedule(tmp_path, trained_dirs):
     assert resolved["train"]["refine_factors"] == [0.1]
 
 
-def test_failure_removes_partial_outputs(tmp_path):
+@pytest.mark.parametrize("command", ["gen", "train", "features", "extract", "verify", "demo"])
+def test_failure_removes_partial_outputs(tmp_path, trained_dirs, command):
+    """Each command fails after writing its config echo; nothing stays."""
     out = tmp_path / "out"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ranges": {"CGGMAX": [0.6, 0.61], "CGGMIN": [0.55, 0.59]}}))
-    code = main(["gen", "--n", "100", "--seed", "1", "--out", str(out), "--config", str(cfg)])
-    assert code == 3
-    assert not (out / "dataset.csv").exists()
-    assert not (out / "config_resolved.json").exists()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    model = str(trained_dirs[1] / "model.json")
+    argv = {
+        "gen": ["gen", "--n", "100", "--seed", "1", "--config", str(cfg)],
+        "train": ["train", "--data", str(tmp_path / "absent.csv")],
+        "features": ["features", "--curves", str(empty)],
+        "extract": ["extract", "--curves", str(empty), "--model", model],
+        "verify": ["verify", "--curves", str(empty), "--model", model],
+        "demo": ["demo", "--n", "100", "--devices", "1", "--config", str(cfg)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert out.is_dir()
+    assert not any(p.is_file() for p in out.rglob("*"))
 
 
 def test_no_writes_outside_out(tmp_path, monkeypatch):
@@ -390,3 +432,48 @@ def test_no_writes_outside_out(tmp_path, monkeypatch):
     out = tmp_path / "only_here"
     assert main(["gen", "--n", "100", "--seed", "5", "--out", str(out)]) == 0
     assert os.listdir(workdir) == []
+
+
+#: A non-default config: a top-level seed as the train seed fallback, an
+#: integer-valued float setting (echoed as a float) and a refinement stage.
+ECHO_CFG = {
+    "seed": 4,
+    "ranges": {"PHIG": [4.35, 4.55]},
+    "features": {"i_crit": 1.5e-7},
+    "mlp": {"hidden": [16, 12], "seed": 3},
+    "train": {"learning_rate": 0.002, "batch_size": 64, "max_epochs": 3, "patience": 2,
+              "eps": 1, "refine": [0.5]},
+}
+
+ECHO_SHA256 = {
+    "gen": "ec9819167058d5528ddc8fb8b60bfbaf18684427492e6948517de610507a6514",
+    "train": "5f13c463f109547295338d5cbd842b8c3e355417a6a1d9579ecbd95b5b4df2ce",
+    "verify": "b15ace81e43efcc358e5c2188fa1830137fc84c3d69d9177a4b828f6ffe35757",
+}
+
+#: The history meta line holds the best validation loss, whose bits follow
+#: the dataset's, so its digest is recorded per CPU dispatch family.
+HISTORY_META_SHA256 = {
+    "X86_V4": "6dfbf0da6fae0f5b15a1a5c057d78dbc7a1213f8d1795a6616b093c56371f25d",
+    "X86_V3": "58eb3d962d4380801726a198c0891e6d866797bc13176a3e492e893c5ea22b85",
+}
+
+
+def test_echo_bytes_golden(tmp_path, monkeypatch):
+    """The resolved-config echoes and the history meta line keep their bytes."""
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(ECHO_CFG))
+    Path("true.json").write_text(json.dumps(REFERENCE_PARAMS.to_dict()))
+    runs = {
+        "gen": ["gen", "--n", "120", "--seed", "9"],
+        "train": ["train", "--data", "gen/dataset.csv"],
+        "verify": ["verify", "--params", "true.json", "--model", "train/model.json"],
+    }
+    digests = {}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", name, "--config", "cfg.json"]) == 0
+        digests[name] = hashlib.sha256(Path(name, "config_resolved.json").read_bytes()).hexdigest()
+    assert digests == ECHO_SHA256
+    meta = Path("train", "history.csv").read_text().splitlines()[0]
+    assert hashlib.sha256(meta.encode()).hexdigest() == golden(HISTORY_META_SHA256,
+                                                               "history meta digest")
