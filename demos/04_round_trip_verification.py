@@ -24,7 +24,7 @@ weights, _ = train(ds, norm, MLPConfig(seed=0),
 
 true_params = ModelParams.from_vector(ds.Y[ds.indices("test")[0]])
 target = simulate_curveset(true_params)
-report = round_trip(target, weights, norm, true_params=true_params, ranges=ds.ranges)
+report = round_trip(target, weights, norm, true_params=true_params)
 
 print("per-curve relative RMS:")
 for ce in report.curve_errors:

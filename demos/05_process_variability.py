@@ -14,7 +14,7 @@ norm = fit_normalizer(ds)
 weights, _ = train(ds, norm, MLPConfig(seed=0),
                    TrainConfig(max_epochs=150, patience=149, seed=0))
 
-reports = variability_suite(REFERENCE_PARAMS, weights, norm, ranges=ds.ranges)
+reports = variability_suite(REFERENCE_PARAMS, weights, norm)
 
 header = "  ".join(f"{label:>9s}" for label in REPORT_CURVES)
 print(f"{'knobs (lg, eot)':16s} {header}")

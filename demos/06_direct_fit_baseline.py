@@ -37,7 +37,7 @@ for k, idx in enumerate(ds.indices("test")[:5]):
     target = simulate_curveset(true_params)
 
     t0 = time.perf_counter()
-    report = round_trip(target, weights, norm, ranges=ds.ranges)
+    report = round_trip(target, weights, norm)
     nn_wall = time.perf_counter() - t0
     nn_obj = direct_fit_objective(report.predicted, target)
 

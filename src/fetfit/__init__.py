@@ -39,7 +39,6 @@ from .dataset import (
     save_dataset,
 )
 from .device import (
-    BiasGrid,
     Curve,
     CurveKind,
     CurveSet,

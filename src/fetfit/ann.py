@@ -35,7 +35,7 @@ from .dataset import Dataset, Normalizer
 from .errors import (ConfigError, DataError, InvalidParameterError, TrainingDivergedError,
                      read_text, require_int)
 from .features import N_FEATURES
-from .params import PARAM_NAMES, ModelParams, ParamRanges
+from .params import PARAM_NAMES, ModelParams
 
 log = logging.getLogger(__name__)
 
@@ -404,19 +404,16 @@ def _adam_update(p, m, v, g, tmp, lr, bc1, bc2, tcfg: TrainConfig):
     p -= tmp
 
 
-def predict_params(w: MLPWeights, norm: Normalizer, fv,
-                   ranges: ParamRanges | None = None) -> ModelParams:
-    """Map one feature vector to a clipped, valid parameter set."""
+def predict_params(w: MLPWeights, norm: Normalizer, fv) -> ModelParams:
+    """Map one feature vector to a valid parameter set, clipped to the
+    model's box (``norm.param_ranges``)."""
     fv = np.asarray(fv, dtype=float)
     if fv.shape != (N_FEATURES,):
         raise InvalidParameterError(f"feature vector must have shape ({N_FEATURES},)")
     if not np.all(np.isfinite(fv)):
         raise InvalidParameterError("feature vector contains non-finite values")
     out = forward(w, norm.normalize_features(fv))
-    vec = norm.denormalize_params(out)
-    if ranges is None:
-        ranges = norm.param_ranges
-    return ModelParams.from_vector(ranges.clip_vector(vec))
+    return ModelParams.from_vector(norm.param_ranges.clip_vector(norm.denormalize_params(out)))
 
 
 def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import ann, curve_io, dataset, svg, verify
 from .device import CurveKind, simulate_curveset, simulate_ids_vds
-from .errors import ConfigError, DataError, ExtractionError, FetfitError, read_text
+from .errors import (ConfigError, DataError, ExtractionError, FetfitError, InvalidParameterError,
+                     read_text)
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams, ParamRanges
 
@@ -170,7 +171,10 @@ def read_params_file(path) -> ModelParams:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: parameter file must be a JSON object")
-    return ModelParams.from_dict(doc)
+    try:
+        return ModelParams.from_dict(doc)
+    except InvalidParameterError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 @contextmanager
@@ -313,7 +317,6 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
     if args.variability and not args.params:
         raise ConfigError("--variability needs --params (true base parameters)")
     fcfg = resolve_feature_cfg(cfg)
-    ranges = resolve_ranges(cfg)
     echo_config(out, "verify", cfg, {
         "curves": str(args.curves) if args.curves else None,
         "params": str(args.params) if args.params else None,
@@ -322,7 +325,7 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
     w, norm, _ = ann.load_model(args.model)
     if args.variability:
         base = read_params_file(args.params)
-        reports = verify.variability_suite(base, w, norm, cfg=fcfg, ranges=ranges)
+        reports = verify.variability_suite(base, w, norm, cfg=fcfg)
         doc = {
             "reports": [r.to_dict() for r in reports],
             "average_rms_percent": verify.aggregate_curve_errors(reports),
@@ -342,8 +345,7 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
         true_params = None
         target = curve_io.read_curveset_dir(args.curves)
     with _naming(args.curves):
-        report = verify.round_trip(target, w, norm, true_params=true_params,
-                                   cfg=fcfg, ranges=ranges)
+        report = verify.round_trip(target, w, norm, true_params=true_params, cfg=fcfg)
     _write_json(out.path("report.json"), report.to_dict())
     rows = _report_rows(report, target)
     if true_params is not None:  # the output-characteristic family
@@ -363,7 +365,6 @@ def cmd_demo(args, cfg: dict, out: Outputs) -> int:
         "n": args.n, "devices": args.devices,
         "gen_seed": DEMO_GEN_SEED, "train_seed": DEMO_TRAIN_SEED,
     })
-    ranges = resolve_ranges(cfg)
     fcfg = resolve_feature_cfg(cfg)
     mcfg = resolve_mlp_cfg(cfg)
     tcfg = resolve_train_cfg(cfg, seed_flag=DEMO_TRAIN_SEED)
@@ -381,7 +382,7 @@ def cmd_demo(args, cfg: dict, out: Outputs) -> int:
     _, medians = verify.holdout_round_trip(ds, norm, w, n_devices=args.devices, cfg=fcfg)
 
     print("[4/4] variability suite on the reference device")
-    var_reports = verify.variability_suite(REFERENCE_PARAMS, w, norm, cfg=fcfg, ranges=ranges)
+    var_reports = verify.variability_suite(REFERENCE_PARAMS, w, norm, cfg=fcfg)
     var_avg = verify.aggregate_curve_errors(var_reports[1:])  # the four knob settings
 
     checks = [(f"median {label}", medians[label], limit)

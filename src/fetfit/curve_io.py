@@ -8,12 +8,11 @@ a file holds the curve of one device.
 Reading accepts CRLF or LF line ends, blank and whitespace-only lines
 (skipped), whitespace around either cell, and a missing final newline. Each
 cell is converted exactly as ``float()`` converts it. A row with other than
-two cells, or a cell ``float()`` rejects, is reported as ``path:line``. A
-file whose every ``x`` lies within ``device.GRID_TOL_V`` (1e-9 V) of a
-default sweep (``device.IV_X`` or ``device.CV_X``) gives a curve on that
-shared read-only grid, as simulated curves are, so ``0.030`` reads as
-3 x 0.01 V; any other ``x`` gets its own array and the full ``Curve``
-checks.
+two cells, or a cell ``float()`` rejects, is reported as ``path:line``.
+Every curve is built by the public ``Curve`` constructor, so the rule of
+``device`` applies: an ``x`` whose every point lies within
+``device.GRID_TOL_V`` (1e-9 V) of a default sweep is put on that shared
+read-only sweep, and ``0.030`` reads as 3 x 0.01 V.
 
 A device directory holds one curve per slot: Ids-Vgs at Vds = 0.05 V,
 Ids-Vgs at Vds = 0.7 V, and Cgg-Vgs. Files are classified by header, not by
@@ -30,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .device import (CURVE_UNITS, CV_X, GRID_TOL_V, IV_X, VDS_HIGH, VDS_LOW, Curve, CurveKind,
-                     CurveSet)
+from .device import CURVE_UNITS, CV_X, IV_X, VDS_HIGH, VDS_LOW, Curve, CurveKind, CurveSet
 from .errors import DataError, read_text
 
 _HEADER_RE = re.compile(
@@ -57,16 +55,12 @@ _GRIDS = [(grid, tuple(map(_fmt, grid))) for grid in (IV_X, CV_X)]
 
 
 def _x_column(cells: tuple) -> np.ndarray:
-    """The x cells as floats; a default sweep's shared grid when every point
-    lies within ``GRID_TOL_V`` of it."""
+    """The x cells as floats; a default sweep's shared grid, unconverted,
+    when the cells are the ones ``write_curve_csv`` writes for it."""
     for grid, grid_cells in _GRIDS:
         if cells == grid_cells:
             return grid
-    x = np.array(list(map(float, cells)))
-    for grid, _ in _GRIDS:
-        if x.shape == grid.shape and np.abs(x - grid).max() <= GRID_TOL_V:
-            return grid
-    return x
+    return np.array(list(map(float, cells)))
 
 
 def _require_one_device(curve: Curve):
@@ -149,8 +143,6 @@ def read_curve_csv(path) -> Curve:
     except ValueError:
         _raise_row_error(path, lines)
     try:
-        if x is IV_X or x is CV_X:
-            return Curve._on_checked_grid(kind, x, y, vds=vds, vgs=vgs)
         return Curve(kind, x, y, vds=vds, vgs=vgs)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -250,6 +250,13 @@ def load_dataset(path) -> Dataset:
         meta = json.loads(lines[0][len("# meta "):])
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: bad meta JSON: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("ranges"), dict):
+        raise DataError(f"{path}: the meta line must be a JSON object holding a ranges object")
+    try:
+        require_int("seed", meta.get("seed"), minimum=0)
+        ranges = ParamRanges.from_dict(meta["ranges"])
+    except (ConfigError, TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"{path}: bad meta line: {exc}") from exc
     expected_cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     if len(lines) < 2 or lines[1].split(",") != expected_cols:
         raise DataError(f"{path}: header row does not match the documented columns")
@@ -274,9 +281,7 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}:{bad[0] + 3}: non-finite cell")
     n_feat = len(FEATURE_NAMES)
     return Dataset(
-        X=vals[:, :n_feat], Y=vals[:, n_feat:], split=split,
-        seed=int(meta["seed"]), ranges=ParamRanges.from_dict(meta["ranges"]),
-    )
+        X=vals[:, :n_feat], Y=vals[:, n_feat:], split=split, seed=meta["seed"], ranges=ranges)
 
 
 def _unparsable_cell(path, body, exc: ValueError) -> DataError:

@@ -6,11 +6,12 @@ on fixed voltage grids. All functions here are pure; equal inputs produce
 bit-identical outputs.
 
 Curves are validated where they enter the program: the public ``Curve``
-constructor checks the grid (strictly increasing and uniform) and the
-values. Simulated and derived curves, and curves read from a file whose
-grid equals a default sweep, skip the grid check. They reuse a grid that was
-checked once: the read-only module grids built at import, or the ``x`` of
-the curve they derive from. Their values are still checked.
+constructor checks the grid and the values. This module alone decides which
+``x`` is a default sweep: an ``x`` whose every point lies within
+``GRID_TOL_V`` of ``IV_X`` or ``CV_X`` is replaced by that read-only array,
+and any other ``x`` must be strictly increasing and uniform. Simulated and
+derived curves skip the grid check: they reuse the module sweeps or the
+``x`` of the curve they derive from. Their values are still checked.
 
 The simulator is batch-first. ``simulate_curveset`` takes one ``ModelParams``
 or an (N, 14) block of parameter rows; for a block every curve holds an
@@ -46,13 +47,10 @@ K0 = 1e-3                 # current prefactor, A/V^2
 SAT_SMOOTHING = 4         # exponent blending linear and saturated drain bias
 WORKFUNC_REF = 4.05       # work function giving zero threshold, eV
 
-# Default bias grids.
+# Drain biases of the two stored I-V curves, V.
 VDS_LOW = 0.05
 VDS_HIGH = 0.7
-IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP = 0.0, 0.8, 0.01
-CV_VGS_START, CV_VGS_STOP, CV_VGS_STEP = 0.0, 1.1, 0.01
-OUT_VDS_START, OUT_VDS_STOP, OUT_VDS_STEP = 0.0, 0.8, 0.01
-#: Gate-voltage tolerance, V, within which measured x points count as a
+#: Voltage tolerance, V, within which every x point of a curve counts as a
 #: default sweep's: files written with short cells such as ``0.030`` for
 #: 3 x 0.01 V (0.030000000000000002) are on the sweep.
 GRID_TOL_V = 1e-9
@@ -76,33 +74,28 @@ CURVE_UNITS = {
 }
 
 
-@dataclass(frozen=True)
-class BiasGrid:
-    """Uniform gate-voltage sweep at a fixed drain bias."""
-
-    vgs_start: float
-    vgs_stop: float
-    vgs_step: float
-    vds: float
-
-    def __post_init__(self):
-        if self.vgs_step <= 0:
-            raise ValueError(f"vgs_step must be > 0, got {self.vgs_step}")
-        if self.vgs_stop <= self.vgs_start:
-            raise ValueError("vgs_stop must exceed vgs_start")
-
-    @property
-    def n_points(self) -> int:
-        return int(round((self.vgs_stop - self.vgs_start) / self.vgs_step)) + 1
-
-    def points(self) -> np.ndarray:
-        """Grid values, exactly start + k*step."""
-        return self.vgs_start + self.vgs_step * np.arange(self.n_points)
+def _sweep(stop: float) -> np.ndarray:
+    """The read-only default sweep 0, 0.01, ..., ``stop`` V, each point
+    exactly 0.0 + 0.01 * k."""
+    x = 0.0 + 0.01 * np.arange(round(stop / 0.01) + 1)
+    x.flags.writeable = False
+    return x
 
 
-IV_GRID_LOW = BiasGrid(IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP, VDS_LOW)
-IV_GRID_HIGH = BiasGrid(IV_VGS_START, IV_VGS_STOP, IV_VGS_STEP, VDS_HIGH)
-CV_GRID = BiasGrid(CV_VGS_START, CV_VGS_STOP, CV_VGS_STEP, 0.0)
+# The default sweeps, shared by every simulated curve and every curve on
+# their points: Vgs of the I-V and C-V curves, and Vds of the Ids-Vds family.
+IV_X = _sweep(0.8)
+CV_X = _sweep(1.1)
+_IV_VDS = np.array([[VDS_LOW], [VDS_HIGH]])  # one row per stored I-V curve
+
+
+def _default_sweep(x: np.ndarray) -> np.ndarray | None:
+    """``IV_X`` or ``CV_X`` if every point of ``x`` lies within
+    ``GRID_TOL_V`` of it, else None."""
+    for sweep in (IV_X, CV_X):
+        if x is sweep or (x.shape == sweep.shape and np.abs(x - sweep).max() <= GRID_TOL_V):
+            return sweep
+    return None
 
 
 @dataclass
@@ -114,11 +107,12 @@ class Curve:
     swept axis. A curve of a simulated block holds ``y`` as an (N, npts)
     array, one row per device, against the shared 1-D ``x``.
 
-    The constructor checks everything: ``x`` strictly increasing and uniform,
-    ``y`` finite and, for Ids and Cgg, strictly positive. Curves made by
-    ``simulate_curveset`` and ``differentiate``, and curves read on a default
-    sweep, check ``y`` only, because their ``x`` is a read-only module grid or
-    the ``x`` of an existing curve.
+    The constructor puts an ``x`` within ``GRID_TOL_V`` of a default sweep
+    on that read-only sweep, and checks any other ``x`` for being strictly
+    increasing and uniform; ``y`` must be finite and, for Ids and Cgg,
+    strictly positive. Curves made by ``simulate_curveset`` and
+    ``differentiate`` check ``y`` only, because their ``x`` is a module sweep
+    or the ``x`` of an existing curve.
     """
 
     kind: CurveKind
@@ -133,7 +127,10 @@ class Curve:
         self.y = np.asarray(self.y, dtype=float)
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise ValueError("x and y must be 1-D arrays of equal length")
-        if len(self.x) >= 2:
+        sweep = _default_sweep(self.x)
+        if sweep is not None:
+            self.x = sweep
+        elif len(self.x) >= 2:
             dx = np.diff(self.x)
             if np.any(dx <= 0):
                 raise ValueError("x must be strictly increasing")
@@ -145,7 +142,7 @@ class Curve:
     def _on_checked_grid(cls, kind: CurveKind, x: np.ndarray, y: np.ndarray,
                          vds: float | None = None, vgs: float | None = None) -> "Curve":
         """Curve on an ``x`` that has passed the constructor's checks: a
-        module grid or the ``x`` of an existing Curve. Checks ``y`` only."""
+        module sweep or the ``x`` of an existing Curve. Checks ``y`` only."""
         curve = cls.__new__(cls)
         curve.kind, curve.x, curve.y, curve.vds, curve.vgs = kind, x, y, vds, vgs
         curve._check_y()
@@ -165,20 +162,6 @@ class Curve:
     def scaled(self, alpha: float) -> "Curve":
         """Same curve with y multiplied by alpha (> 0 for current kinds)."""
         return Curve(self.kind, self.x.copy(), self.y * alpha, vds=self.vds, vgs=self.vgs)
-
-
-def _checked_grid(grid: BiasGrid) -> np.ndarray:
-    # validated once through the public constructor, then frozen so that the
-    # curves sharing it cannot change it
-    x = Curve(CurveKind.IDS_VGS, grid.points(), np.ones(grid.n_points)).x
-    x.flags.writeable = False
-    return x
-
-
-# Gate-voltage points of the default sweeps, shared by every simulated curve.
-IV_X = _checked_grid(IV_GRID_LOW)
-CV_X = _checked_grid(CV_GRID)
-_IV_VDS = np.array([[VDS_LOW], [VDS_HIGH]])  # one row per stored I-V curve
 
 
 @dataclass
@@ -333,11 +316,10 @@ def simulate_curveset(params) -> CurveSet:
 
 
 def simulate_ids_vds(params: ModelParams, vgs_list) -> list[Curve]:
-    """Output characteristics: one Ids-Vds curve per fixed Vgs."""
-    n = int(round((OUT_VDS_STOP - OUT_VDS_START) / OUT_VDS_STEP)) + 1
-    x_vds = OUT_VDS_START + OUT_VDS_STEP * np.arange(n)
+    """Output characteristics: one Ids-Vds curve per fixed Vgs, with Vds
+    swept over ``IV_X``."""
     return [
-        Curve(CurveKind.IDS_VDS, x_vds, ids(params, float(v), x_vds), vgs=float(v))
+        Curve(CurveKind.IDS_VDS, IV_X, ids(params, float(v), IV_X), vgs=float(v))
         for v in vgs_list
     ]
 

@@ -11,6 +11,12 @@ device) and gives one result per row: ``featurize`` returns (24,) or
 block row is bit-identical to featurizing that device alone. If rows fail,
 ``ExtractionError`` carries the reason of the first failing row, the one
 its single-device call gives, and lists every failing row in ``rows``.
+
+``featurize`` takes curves on the default sweeps only. Which ``x`` is on a
+sweep is decided by the ``Curve`` constructor in ``device`` (every point
+within ``device.GRID_TOL_V``), which puts such an ``x`` on the shared
+``IV_X`` or ``CV_X``; here the test is one of identity. Every row of a block
+then shares one 1-D grid.
 """
 
 from __future__ import annotations
@@ -21,10 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import (
-    CV_VGS_STEP,
     CV_X,
-    GRID_TOL_V,
-    IV_VGS_STEP,
     IV_X,
     Curve,
     CurveKind,
@@ -61,23 +64,17 @@ class FeatureConfig:
             )
 
 
-def _require_default_grid(curve: Curve, grid: np.ndarray, step: float):
-    """Every point of the curve within ``GRID_TOL_V`` of the default sweep
-    ``grid``, as the curve reader puts a file's x column on a sweep. A curve
-    that already shares the module grid passes at once."""
+def _require_default_grid(curve: Curve, grid: np.ndarray):
+    """Raise unless the curve holds the default sweep ``grid`` itself, as
+    the ``Curve`` constructor gives every ``x`` close enough to it."""
     x = curve.x
     if x is grid:
         return
-    if len(x) == len(grid):
-        off = np.abs(x - grid).max()
-        if off <= GRID_TOL_V:
-            return
-        detail = f"; a point lies {off:.2g} V off the sweep"
-    else:
-        detail = ""
+    detail = (f"; a point lies {np.abs(x - grid).max():.2g} V off the sweep"
+              if len(x) == len(grid) else "")
     raise ExtractionError(
         f"curve must be sampled on the {grid[0]:g}..{grid[-1]:g} V grid with step "
-        f"{step:g} ({len(grid)} points); got {len(x)} points spanning "
+        f"{grid[1] - grid[0]:g} ({len(grid)} points); got {len(x)} points spanning "
         f"{x[0]:g}..{x[-1]:g} V{detail}"
     )
 
@@ -88,13 +85,13 @@ def _require_kind(curve: Curve, kind: CurveKind, need: str):
 
 
 def _check_iv(curve: Curve):
-    _require_default_grid(curve, IV_X, IV_VGS_STEP)
+    _require_default_grid(curve, IV_X)
     _require_kind(curve, CurveKind.IDS_VGS, "Vth needs an IdsVgs curve")
 
 
 def _check_cv(curve: Curve):
     _require_kind(curve, CurveKind.CGG_VGS, "CV features need a CggVgs curve")
-    _require_default_grid(curve, CV_X, CV_VGS_STEP)
+    _require_default_grid(curve, CV_X)
 
 
 def _stacked_y(*curves: Curve) -> np.ndarray:
@@ -102,16 +99,6 @@ def _stacked_y(*curves: Curve) -> np.ndarray:
     curve of one device is a block of one."""
     ys = [c.y.reshape(-1, c.y.shape[-1]) for c in curves]
     return np.concatenate(ys) if len(ys) > 1 else np.ascontiguousarray(ys[0])
-
-
-def _rows(*curves: Curve):
-    """``_stacked_y`` with a matching x array, each row on its own grid."""
-    y = _stacked_y(*curves)
-    x = np.empty(y.shape)
-    per_curve = len(y) // len(curves)
-    for k, c in enumerate(curves):
-        x[k * per_curve:(k + 1) * per_curve] = c.x
-    return x, y
 
 
 def _raise_first(checks: list):
@@ -129,7 +116,7 @@ def _per_row(kernel, curve: Curve, *args):
     """Run a block kernel on the rows of one curve and raise for the first
     failing row; one value or row of values per curve row."""
     fail = []
-    out = kernel(*_rows(curve), *args, fail)
+    out = kernel(curve.x, _stacked_y(curve), *args, fail)
     _raise_first([("", bad, reason) for bad, reason in fail])
     if isinstance(out, list):
         out = np.stack(out, axis=1)
@@ -139,11 +126,12 @@ def _per_row(kernel, curve: Curve, *args):
 def _bracket(x: np.ndarray, y: np.ndarray, above: np.ndarray) -> tuple:
     """x and y of each row at the first point where ``above`` holds and at
     the point before it. Rows with no such point after the first get points
-    0 and 1 as a placeholder. Gathers by flat index, the cheaper way."""
-    at = np.arange(0, y.size, y.shape[1]) + np.maximum(above.argmax(axis=1), 1)
-    before = at - 1
-    xf, yf = x.ravel(), y.ravel()
-    return xf[before], xf[at], yf[before], yf[at]
+    0 and 1 as a placeholder. x is gathered by column, y by flat index, the
+    cheaper way."""
+    col = np.maximum(above.argmax(axis=1), 1)
+    at = np.arange(0, y.size, y.shape[1]) + col
+    yf = y.ravel()
+    return x[col - 1], x[col], yf[at - 1], yf[at]
 
 
 def _log10(values: np.ndarray) -> np.ndarray:
@@ -208,8 +196,8 @@ def _ss(x: np.ndarray, y: np.ndarray, cfg: FeatureConfig, fail: list) -> np.ndar
         f"SS: only {count[r]} grid points inside the window "
         f"[{cfg.ss_lo:.3e}, {cfg.ss_hi:.3e}] A (need 3)")))
     ss = np.full(len(y), np.nan)
-    # every row's window points, row after row, in grid order
-    z_in, x_in = np.log10(y[inside]), x[inside]
+    # every row's window points, row after row, in grid order (x by column)
+    z_in, x_in = np.log10(y[inside]), x[inside.nonzero()[1]]
     first = np.cumsum(count) - count
     # Rows whose windows hold equally many points are fitted together: each
     # row's sums and dot products then run over exactly its own points, as
@@ -256,7 +244,7 @@ def _cv_columns(x: np.ndarray, y: np.ndarray, fail: list) -> list:
     dy = y1 - y0
     dy[above[:, 0]] = np.nan  # failed rows give NaN
     v_mid = x0 + (mid - y0) * (x1 - x0) / dy
-    slope0 = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * (x[:, 1] - x[:, 0]))
+    slope0 = (-3.0 * y[:, 0] + 4.0 * y[:, 1] - y[:, 2]) / (2.0 * (x[1] - x[0]))
     return [c_max, c_min, v_mid, _trapz(x, y), _rms(y), slope0]
 
 
@@ -302,12 +290,11 @@ def featurize(cs: CurveSet, cfg: FeatureConfig | None = None) -> np.ndarray:
         except ExtractionError as exc:
             raise ExtractionError(f"{label}: {exc}") from exc
     cv_fail, iv_fail = [], []
-    cv = _cv_columns(*_rows(cs.cgg_low), cv_fail)
+    cv = _cv_columns(CV_X, _stacked_y(cs.cgg_low), cv_fail)
     # both drain biases in one pass: the low-Vds rows, then the high-Vds rows
-    x_iv, y_iv = _rows(cs.ids_low, cs.ids_high)
-    iv = _iv_columns(x_iv, y_iv, cfg, iv_fail)
-    # Gm lies on the grids of the curves it derives from
-    gm = _gm_columns(x_iv, _stacked_y(cs.gm_low(), cs.gm_high()), [])
+    iv = _iv_columns(IV_X, _stacked_y(cs.ids_low, cs.ids_high), cfg, iv_fail)
+    # Gm lies on the grid of the curves it derives from
+    gm = _gm_columns(IV_X, _stacked_y(cs.gm_low(), cs.gm_high()), [])
     n = len(cv[0])
     low, high = slice(0, n), slice(n, 2 * n)
     iv, gm = np.array(iv), np.array(gm)

@@ -71,7 +71,9 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise InvalidParameterError(f"{f.name} must be a number, got {v!r}")
+            if not math.isfinite(v):
                 raise InvalidParameterError(f"{f.name} must be finite, got {v!r}")
             object.__setattr__(self, f.name, float(v))
         if self.IOFF0 <= 0:
@@ -108,7 +110,7 @@ class ModelParams:
         extra = [k for k in d if k not in PARAM_NAMES]
         if extra:
             raise InvalidParameterError(f"unknown parameters: {extra}")
-        return cls(**{n: float(d[n]) for n in PARAM_NAMES})
+        return cls(**{n: d[n] for n in PARAM_NAMES})
 
     def replace(self, **changes) -> "ModelParams":
         d = self.to_dict()

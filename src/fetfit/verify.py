@@ -203,32 +203,32 @@ def round_trip_from_params(target: CurveSet, predicted: ModelParams,
 
 def round_trip(target: CurveSet, w: MLPWeights, norm: Normalizer,
                true_params: ModelParams | None = None,
-               cfg: FeatureConfig | None = None,
-               ranges: ParamRanges | None = None) -> VerifyReport:
-    """Featurize the target, predict parameters, resimulate, and score."""
+               cfg: FeatureConfig | None = None) -> VerifyReport:
+    """Featurize the target, predict parameters within the model's box,
+    resimulate, and score."""
     if cfg is None:
         cfg = FeatureConfig()
     t0 = time.perf_counter()
     fv = featurize(target, cfg)
-    predicted = predict_params(w, norm, fv, ranges=ranges)
+    predicted = predict_params(w, norm, fv)
     extract_seconds = time.perf_counter() - t0
     report = round_trip_from_params(target, predicted, true_params=true_params,
-                                    cfg=cfg, ranges=ranges)
+                                    cfg=cfg, ranges=norm.param_ranges)
     report.extract_seconds = extract_seconds
     return report
 
 
 def variability_suite(base_params: ModelParams, w: MLPWeights, norm: Normalizer,
-                      cfg: FeatureConfig | None = None,
-                      ranges: ParamRanges | None = None) -> list:
+                      cfg: FeatureConfig | None = None) -> list:
     """Baseline plus the four single-knob perturbations of the base device.
-    Each target is simulated from the knobbed parameters and round-tripped."""
+    Each target is simulated from the knobbed parameters, applied within the
+    model's box, and round-tripped."""
     reports = []
     for knobs in VARIABILITY_KNOBS:
-        p = apply_knobs(base_params, knobs, ranges=ranges) \
+        p = apply_knobs(base_params, knobs, ranges=norm.param_ranges) \
             if (knobs.lg_scale, knobs.eot_scale) != (1.0, 1.0) else base_params
         target = simulate_curveset(p)
-        report = round_trip(target, w, norm, true_params=p, cfg=cfg, ranges=ranges)
+        report = round_trip(target, w, norm, true_params=p, cfg=cfg)
         report.knobs = (knobs.lg_scale, knobs.eot_scale)
         reports.append(report)
     return reports
@@ -255,8 +255,7 @@ def holdout_round_trip(ds, norm: Normalizer, w: MLPWeights, n_devices: int = 200
     reports = []
     for i in idx:
         p = ModelParams.from_vector(ds.Y[i])
-        reports.append(round_trip(simulate_curveset(p), w, norm,
-                                  true_params=p, cfg=cfg, ranges=ds.ranges))
+        reports.append(round_trip(simulate_curveset(p), w, norm, true_params=p, cfg=cfg))
     medians = {
         label: float(np.median([r.error(label).rms_percent for r in reports]))
         for label in REPORT_CURVES

@@ -13,7 +13,7 @@ import pytest
 
 from fetfit.ann import MLPConfig, TrainConfig, forward, init_weights, loss_and_grad, train
 from fetfit.dataset import build_dataset, fit_normalizer
-from fetfit.device import Curve, CurveKind, IV_GRID_LOW, CV_GRID, differentiate, simulate_curveset
+from fetfit.device import CV_X, IV_X, Curve, CurveKind, differentiate, simulate_curveset
 from fetfit.features import (
     FeatureConfig,
     extract_cv_features,
@@ -88,7 +88,7 @@ def test_criterion_1_feature_oracles():
         return abs(got - want) <= max(rel * abs(want), abs_tol)
 
     # C-V features on a linear ramp 1 -> 2 fF over [0, 1.1]
-    x_cv = CV_GRID.points()
+    x_cv = CV_X.copy()
     ramp = Curve(CurveKind.CGG_VGS, x_cv, 1.0 + x_cv / 1.1, vds=0.0)
     cv = extract_cv_features(ramp)
     checks.append(("Cgg_max", close(cv[0], 2.0)))
@@ -99,7 +99,7 @@ def test_criterion_1_feature_oracles():
     checks.append(("Cgg_slope", close(cv[5], 1.0 / 1.1)))
 
     # I-V features on an ideal 60 mV/dec exponential crossing 1e-7 A at 0.3 V
-    x_iv = IV_GRID_LOW.points()
+    x_iv = IV_X.copy()
     expo = Curve(CurveKind.IDS_VGS, x_iv, 1e-7 * 10 ** ((x_iv - 0.3) / 0.060), vds=0.05)
     iv = extract_iv_features(expo, cfg)
     checks.append(("Vth (exponential)", close(iv[0], 0.300, rel=0, abs_tol=1e-9)))
@@ -187,8 +187,7 @@ def test_criterion_4_round_trip_accuracy(pipeline):
 def test_criterion_5_variability_suite(pipeline):
     medians = holdout_medians(pipeline)
     t0 = time.perf_counter()
-    reports = variability_suite(REFERENCE_PARAMS, pipeline["weights"], pipeline["norm"],
-                                ranges=pipeline["ds"].ranges)
+    reports = variability_suite(REFERENCE_PARAMS, pipeline["weights"], pipeline["norm"])
     elapsed = time.perf_counter() - t0
     knob_avg = aggregate_curve_errors(reports[1:])  # the four knob settings
     failures = {k: knob_avg[k] for k in REPORT_CURVES
@@ -236,8 +235,7 @@ def test_criterion_8_direct_fit_baseline(pipeline):
     objectives = []
     for true_params in targets:
         target = simulate_curveset(true_params)
-        rep = round_trip(target, pipeline["weights"], pipeline["norm"],
-                         ranges=pipeline["ds"].ranges)
+        rep = round_trip(target, pipeline["weights"], pipeline["norm"])
         nn_wall += rep.extract_seconds  # featurize + predict, as recorded in the report
         t0 = time.perf_counter()
         fitted = direct_fit(target, DEFAULT_RANGES, mid)

@@ -477,3 +477,65 @@ def test_echo_bytes_golden(tmp_path, monkeypatch):
     meta = Path("train", "history.csv").read_text().splitlines()[0]
     assert hashlib.sha256(meta.encode()).hexdigest() == golden(HISTORY_META_SHA256,
                                                                "history meta digest")
+
+
+def test_extract_and_verify_clip_to_the_model_box(tmp_path):
+    """A model trained on wider ranges than the defaults: verify --curves
+    without a config clips its prediction to the model's box, as extract
+    does, not to the default ranges."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ranges": {"PHIG": [4.30, 4.80], "U0": [0.3, 2.0]},
+                               "train": {"max_epochs": 40, "patience": 39, "refine": []}}))
+    gen, train = tmp_path / "gen", tmp_path / "train"
+    assert main(["gen", "--n", "300", "--seed", "11", "--out", str(gen),
+                 "--config", str(cfg)]) == 0
+    assert main(["train", "--data", str(gen / "dataset.csv"), "--out", str(train),
+                 "--config", str(cfg)]) == 0
+    device = tmp_path / "device0"
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS.replace(PHIG=4.75, U0=1.9)), device)
+    model = str(train / "model.json")
+    assert main(["extract", "--curves", str(device), "--model", model,
+                 "--out", str(tmp_path / "ext")]) == 0
+    assert main(["verify", "--curves", str(device), "--model", model,
+                 "--out", str(tmp_path / "ver")]) == 0
+    extracted = json.loads((tmp_path / "ext" / "params.json").read_text())
+    verified = json.loads((tmp_path / "ver" / "report.json").read_text())["predicted_params"]
+    assert verified == extracted
+    assert extracted["PHIG"] > 4.6 or extracted["U0"] > 1.5  # outside the default box
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1], True, "missing"],
+                         ids=["string", "null", "list", "bool", "missing-key"])
+def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
+    doc = REFERENCE_PARAMS.to_dict()
+    if value == "missing":
+        del doc["PHIG"]
+    else:
+        doc["PHIG"] = value
+    params, out = tmp_path / "true.json", tmp_path / "out"
+    params.write_text(json.dumps(doc))
+    assert main(["verify", "--params", str(params), "--model",
+                 str(trained_dirs[1] / "model.json"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"fetfit: error: DataError: {params}: ") and "PHIG" in err
+    assert err.count("\n") == 1
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: {k: v for k, v in meta.items() if k != "seed"},
+    lambda meta: {**meta, "seed": "x"},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": "ab"}},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [4.6, 4.3]}},
+    lambda meta: [],
+], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object"])
+def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
+    meta_line, *rest = (trained_dirs[0] / "dataset.csv").read_text().splitlines()
+    data, out = tmp_path / "dataset.csv", tmp_path / "out"
+    meta = edit(json.loads(meta_line[len("# meta "):]))
+    data.write_text("\n".join(["# meta " + json.dumps(meta)] + rest) + "\n")
+    assert main(["train", "--data", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"fetfit: error: DataError: {data}: ")
+    assert err.count("\n") == 1
+    assert not any(p.is_file() for p in out.rglob("*"))

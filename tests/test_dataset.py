@@ -217,6 +217,25 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(DataError):
         load_dataset(nan_cell)
 
+    # a meta line that is not an object, or with a bad seed or ranges, names the file
+    meta = json.loads(text.splitlines()[0][len("# meta "):])
+    inverted = {**meta["ranges"], "PHIG": [4.6, 4.3]}
+    for i, bad_meta in enumerate([
+        {k: v for k, v in meta.items() if k != "seed"},
+        {**meta, "seed": "x"},
+        {**meta, "seed": 2.0},
+        {**meta, "seed": -1},
+        {**meta, "ranges": {**meta["ranges"], "PHIG": "ab"}},
+        {**meta, "ranges": {**meta["ranges"], "PHIG": [4.3]}},
+        {**meta, "ranges": inverted},
+        {k: v for k, v in meta.items() if k != "ranges"},
+        [],
+    ]):
+        path = tmp_path / f"meta{i}.csv"
+        path.write_text("\n".join(["# meta " + json.dumps(bad_meta)] + text.splitlines()[1:]))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+            load_dataset(path)
+
 
 def dataset_digest(tmp_path) -> str:
     path = tmp_path / "ds.csv"

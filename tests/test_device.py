@@ -11,9 +11,8 @@ import pytest
 
 import fetfit
 from fetfit.device import (
-    CV_GRID,
-    IV_GRID_HIGH,
-    IV_GRID_LOW,
+    CV_X,
+    IV_X,
     Curve,
     CurveKind,
     ProcessKnobs,
@@ -110,7 +109,7 @@ def test_simulated_curves_equal_public_constructor():
     # checked through the public constructor from the model functions
     for p in sample_params_list(20, seed=12):
         cs = simulate_curveset(p)
-        x_iv, x_cv = IV_GRID_LOW.points(), CV_GRID.points()
+        x_iv, x_cv = IV_X.copy(), CV_X.copy()
         built = [
             Curve(CurveKind.IDS_VGS, x_iv, ids(p, x_iv, 0.05), vds=0.05),
             Curve(CurveKind.IDS_VGS, x_iv, ids(p, x_iv, 0.7), vds=0.7),
@@ -126,7 +125,7 @@ def test_simulated_grid_is_read_only():
     for c in (cs.ids_low, cs.cgg_low, cs.gm_low()):
         with pytest.raises(ValueError):
             c.x[0] = 1.0
-    assert IV_GRID_LOW.points()[0] == 0.0
+    assert IV_X[0] == 0.0
 
 
 @pytest.mark.parametrize("changes", [
@@ -170,6 +169,7 @@ def test_simulate_ids_vds():
     assert len(curves) == 3
     for c in curves:
         assert c.kind == CurveKind.IDS_VDS
+        assert c.x is IV_X  # Vds swept over the I-V sweep's points
         assert c.y[0] == REFERENCE_PARAMS.IOFF0  # Vds = 0
     # higher Vgs dominates pointwise beyond Vds = 0
     assert np.all(curves[2].y[1:] > curves[1].y[1:])
@@ -178,7 +178,7 @@ def test_simulate_ids_vds():
 
 
 def test_differentiate_linear_exact():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     c = Curve(CurveKind.IDS_VGS, x, 3.0 * x + 1.0, vds=0.05)
     g = differentiate(c, 1)
     assert g.kind == CurveKind.GM_VGS
@@ -186,14 +186,14 @@ def test_differentiate_linear_exact():
 
 
 def test_differentiate_quadratic_exact_interior():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     c = Curve(CurveKind.IDS_VGS, x, x ** 2 + 1e-12, vds=0.05)
     g = differentiate(c, 1)
     assert np.allclose(g.y[1:-1], 2.0 * x[1:-1], rtol=1e-9, atol=1e-12)
 
 
 def test_differentiate_second_order_cubic():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     c = Curve(CurveKind.IDS_VGS, x, x ** 3 + 1e-12, vds=0.05)
     g2 = differentiate(c, 2)
     assert g2.kind == CurveKind.GM2_VGS
@@ -211,7 +211,7 @@ def test_differentiate_too_few_points():
 
 
 def test_differentiate_rejects_other_kinds():
-    c = Curve(CurveKind.CGG_VGS, CV_GRID.points(), np.ones(111), vds=0.0)
+    c = Curve(CurveKind.CGG_VGS, CV_X.copy(), np.ones(111), vds=0.0)
     with pytest.raises(ValueError):
         differentiate(c, 1)
 
@@ -249,7 +249,7 @@ def test_knob_bounds_enforced():
 # ---- property sweeps over sampled parameters ----
 
 def test_ids_strictly_increasing_in_vgs():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     for p in sample_params_list(200, seed=7):
         for vds in (0.05, 0.7):
             y = ids(p, x, vds)
@@ -265,7 +265,7 @@ def test_ids_nondecreasing_in_vds():
 
 
 def test_cgg_monotone_and_bounded():
-    x = CV_GRID.points()
+    x = CV_X.copy()
     for p in sample_params_list(200, seed=9):
         y = cgg(p, x)
         assert np.all(np.diff(y) > 0)
@@ -286,7 +286,7 @@ def test_phig_shift_moves_vth_by_delta():
     from fetfit.features import vth_constant_current
 
     delta = 0.037
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     for p in sample_params_list(20, seed=11):
         c0 = Curve(CurveKind.IDS_VGS, x, ids(p, x, 0.05), vds=0.05)
         p2 = p.replace(PHIG=p.PHIG + delta)
@@ -299,13 +299,37 @@ def test_phig_shift_moves_vth_by_delta():
         assert abs((v1 - v0) - delta) < 2e-3
 
 
-def test_bias_grid_contract():
-    assert IV_GRID_LOW.n_points == 81
-    assert IV_GRID_HIGH.n_points == 81
-    assert CV_GRID.n_points == 111
-    pts = IV_GRID_LOW.points()
-    assert pts[3] == 0.0 + 3 * 0.01
+def test_default_sweeps():
+    # 0..0.8 V and 0..1.1 V in 0.01 V steps, each point exactly 0.0 + 0.01*k
+    assert len(IV_X) == 81 and len(CV_X) == 111
+    assert IV_X[3] == 0.0 + 3 * 0.01
+    assert np.array_equal(IV_X, 0.0 + 0.01 * np.arange(81))
+    assert np.array_equal(CV_X, 0.0 + 0.01 * np.arange(111))
+    assert not IV_X.flags.writeable and not CV_X.flags.writeable
 
+
+@pytest.mark.parametrize("sweep", ["IV", "CV"])
+def test_near_sweep_x_shares_the_sweep(sweep):
+    grid = IV_X if sweep == "IV" else CV_X
+    kind = CurveKind.IDS_VGS if sweep == "IV" else CurveKind.CGG_VGS
+    c = Curve(kind, grid + 5e-10, np.ones(len(grid)))
+    assert c.x is grid
+    assert Curve(kind, grid.copy(), np.ones(len(grid))).x is grid
+
+
+def test_off_sweep_x_keeps_its_array_and_grid_checks():
+    x = IV_X + 2e-9
+    c = Curve(CurveKind.IDS_VGS, x, np.ones(81))
+    assert c.x is not IV_X and c.x.flags.writeable
+    assert np.array_equal(c.x, x)
+    bent = IV_X + 2e-9
+    bent[40] += 1e-4
+    with pytest.raises(ValueError, match="uniform"):
+        Curve(CurveKind.IDS_VGS, bent, np.ones(81))
+    back = IV_X + 2e-9
+    back[40], back[41] = back[41], back[40]
+    with pytest.raises(ValueError, match="increasing"):
+        Curve(CurveKind.IDS_VGS, back, np.ones(81))
 
 def test_curve_validation():
     with pytest.raises(ValueError):

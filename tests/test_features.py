@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fetfit.device import CV_GRID, IV_GRID_LOW, Curve, CurveKind, differentiate, simulate_curveset
+from fetfit.device import CV_X, IV_X, Curve, CurveKind, differentiate, simulate_curveset
 from fetfit.errors import ExtractionError
 from fetfit.features import (
     FEATURE_NAMES,
@@ -44,27 +44,27 @@ GOLDEN_FEATURES_REF = np.array([
 
 
 def iv_curve(y, vds=0.05):
-    return Curve(CurveKind.IDS_VGS, IV_GRID_LOW.points(), y, vds=vds)
+    return Curve(CurveKind.IDS_VGS, IV_X.copy(), y, vds=vds)
 
 
 def exponential_iv(vth=0.3, ss_v=0.060, i_at_vth=1e-7):
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     return iv_curve(i_at_vth * 10 ** ((x - vth) / ss_v))
 
 
 def test_trapz_constant():
-    c = Curve(CurveKind.CGG_VGS, CV_GRID.points(), np.full(111, 0.7), vds=0.0)
+    c = Curve(CurveKind.CGG_VGS, CV_X.copy(), np.full(111, 0.7), vds=0.0)
     assert trapz(c) == pytest.approx(1.1 * 0.7, rel=1e-14)
 
 
 def test_trapz_linear_exact():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     c = iv_curve(x + 1e-300)
     assert trapz(c) == pytest.approx(0.32, rel=1e-14)
 
 
 def test_trapz_quadratic_vs_simpson_oracle():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     c = iv_curve(x ** 2 + 1e-300)
     oracle = _oracles.simpson(lambda t: t * t, 0, "0.8", n=4000)
     assert trapz(c) == pytest.approx(oracle, rel=1e-4)
@@ -72,7 +72,7 @@ def test_trapz_quadratic_vs_simpson_oracle():
 
 def test_trapz_rms_match_bruteforce_on_random_data():
     rng = np.random.default_rng(3)
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     for _ in range(5):
         y = rng.uniform(0.1, 2.0, size=x.size)
         c = iv_curve(y)
@@ -81,9 +81,9 @@ def test_trapz_rms_match_bruteforce_on_random_data():
 
 
 def test_rms_constant_and_linear():
-    c = Curve(CurveKind.CGG_VGS, CV_GRID.points(), np.full(111, 0.7), vds=0.0)
+    c = Curve(CurveKind.CGG_VGS, CV_X.copy(), np.full(111, 0.7), vds=0.0)
     assert rms(c) == pytest.approx(0.7, rel=1e-14)
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     assert rms(iv_curve(x + 1e-300)) == pytest.approx(GOLDEN_RMS_LINEAR, rel=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_vth_ideal_exponential_exact():
 
 
 def test_vth_no_crossing_errors():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     with pytest.raises(ExtractionError):
         vth_constant_current(iv_curve(np.full(81, 1e-9)), 1e-7)  # never reaches
     with pytest.raises(ExtractionError):
@@ -124,7 +124,7 @@ def test_ss_surrogate_vs_dense_oracle():
 
 
 def test_ss_window_too_small_errors():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     y = np.where(x < 0.4, 1e-10, 1e-6)  # jumps over the window
     y = y + x * 1e-13  # keep strictly increasing
     with pytest.raises(ExtractionError):
@@ -143,13 +143,13 @@ def test_extract_iv_composite_equals_primitives():
 
 
 def test_extract_cv_constant_curve_errors():
-    c = Curve(CurveKind.CGG_VGS, CV_GRID.points(), np.full(111, 0.7), vds=0.0)
+    c = Curve(CurveKind.CGG_VGS, CV_X.copy(), np.full(111, 0.7), vds=0.0)
     with pytest.raises(ExtractionError):
         extract_cv_features(c)
 
 
 def test_extract_cv_linear_ramp():
-    x = CV_GRID.points()
+    x = CV_X.copy()
     c = Curve(CurveKind.CGG_VGS, x, 1.0 + x / 1.1, vds=0.0)
     vec = extract_cv_features(c)
     assert vec[2] == pytest.approx(0.55, rel=1e-12)       # V_mid
@@ -163,7 +163,7 @@ def test_extract_cv_logistic_midpoint():
 
 
 def test_extract_gm_linear():
-    g = differentiate(iv_curve(2.0 * IV_GRID_LOW.points() + 1e-6), 1)
+    g = differentiate(iv_curve(2.0 * IV_X.copy() + 1e-6), 1)
     vec = extract_gm_features(g)
     assert vec[0] == pytest.approx(2.0, rel=1e-9)
     assert vec[1] == pytest.approx(2.0 * 0.8, rel=1e-9)
@@ -171,7 +171,7 @@ def test_extract_gm_linear():
 
 
 def test_extract_gm_quadratic_max_at_right_edge():
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     g = differentiate(iv_curve(x ** 2 + 1e-12), 1)
     vec = extract_gm_features(g)
     assert vec[0] == pytest.approx(1.6, rel=1e-9)
@@ -280,6 +280,27 @@ def test_default_grid_is_a_validated_precondition():
     x_cv = np.arange(0.0, 0.801, 0.01)
     with pytest.raises(ExtractionError, match="grid"):
         extract_cv_features(Curve(CurveKind.CGG_VGS, x_cv, 1.0 + x_cv, vds=0.0))
+    # 2e-9 V off the sweep: a grid of its own, rejected with the offset
+    near = Curve(CurveKind.IDS_VGS, IV_X + 2e-9, exponential_iv().y, vds=0.05)
+    with pytest.raises(ExtractionError, match=r"step 0\.01 \(81 points\).*2e-09 V off the sweep"):
+        extract_iv_features(near, CFG)
+
+
+def test_constructed_near_sweep_curves_featurize_as_simulated():
+    # x within 1e-9 V of the sweeps lands on the shared sweeps, so curves
+    # built through the public constructor featurize bit for bit like the
+    # simulated set, as curves read from files do
+    from fetfit.device import CurveSet
+
+    for p in sample_params_list(10, seed=5):
+        sim = simulate_curveset(p)
+        built = CurveSet(
+            ids_low=Curve(CurveKind.IDS_VGS, IV_X + 5e-10, sim.ids_low.y.copy(), vds=0.05),
+            ids_high=Curve(CurveKind.IDS_VGS, IV_X + 5e-10, sim.ids_high.y.copy(), vds=0.7),
+            cgg_low=Curve(CurveKind.CGG_VGS, CV_X + 5e-10, sim.cgg_low.y.copy(), vds=0.0),
+        )
+        assert built.ids_low.x is IV_X and built.cgg_low.x is CV_X
+        assert featurize(built).tobytes() == featurize(sim).tobytes()
 
 
 def test_extract_path_differentiates_four_times(monkeypatch):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from fetfit.errors import ConfigError
-from fetfit.params import DEFAULT_RANGES, POSITIVE_PARAMS, ModelParams, ParamRanges
+from fetfit.errors import ConfigError, InvalidParameterError
+from fetfit.params import (DEFAULT_RANGES, POSITIVE_PARAMS, REFERENCE_PARAMS, ModelParams,
+                           ParamRanges)
 
 
 @pytest.mark.parametrize("name", POSITIVE_PARAMS)
@@ -24,3 +25,16 @@ def test_clip_vector_meets_model_params_invariants():
     for _ in range(500):
         vec = ranges.clip_vector(lo + rng.uniform(-0.5, 1.5, size=lo.size) * (hi - lo))
         ModelParams.from_vector(vec)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("4.4", "PHIG must be a number, got '4.4'"),
+    (None, "PHIG must be a number, got None"),
+    ([4.4], r"PHIG must be a number, got \[4.4\]"),
+    (True, "PHIG must be a number, got True"),
+    (float("nan"), "PHIG must be finite, got nan"),
+], ids=["string", "null", "list", "bool", "nan"])
+def test_params_reject_non_numbers_by_name(value, message):
+    # from_dict passes values through, so a bool or a string is not converted
+    with pytest.raises(InvalidParameterError, match=message):
+        ModelParams.from_dict({**REFERENCE_PARAMS.to_dict(), "PHIG": value})

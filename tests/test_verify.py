@@ -9,7 +9,7 @@ import pytest
 
 import fetfit.verify
 from fetfit.dataset import build_dataset, fit_normalizer
-from fetfit.device import Curve, CurveKind, IV_GRID_LOW, simulate_curveset
+from fetfit.device import IV_X, Curve, CurveKind, simulate_curveset
 from fetfit.errors import DataError, InvalidParameterError
 from fetfit.ann import MLPConfig, TrainConfig, train
 from fetfit.params import DEFAULT_RANGES, REFERENCE_PARAMS, ModelParams, ParamRanges
@@ -30,7 +30,7 @@ from ._sampling import sample_params_list
 
 
 def iv_curve(y, vds=0.05):
-    return Curve(CurveKind.IDS_VGS, IV_GRID_LOW.points(), y, vds=vds)
+    return Curve(CurveKind.IDS_VGS, IV_X.copy(), y, vds=vds)
 
 
 def test_rms_percent_identity_zero():
@@ -53,7 +53,7 @@ def test_rms_percent_scale_invariant():
 
 def test_rms_percent_matches_direct_summation():
     rng = np.random.default_rng(30)
-    x = IV_GRID_LOW.points()
+    x = IV_X.copy()
     t = rng.uniform(0.5, 2.0, size=x.size)
     p = t * (1.0 + rng.normal(0, 0.02, size=x.size))
     pred, target = iv_curve(p), iv_curve(t)
@@ -71,7 +71,7 @@ def test_rms_percent_grid_mismatch_errors():
 
 def test_rms_percent_equal_length_grid_mismatch_errors():
     c = simulate_curveset(REFERENCE_PARAMS).ids_low
-    shifted = Curve(CurveKind.IDS_VGS, IV_GRID_LOW.points() + 0.01, c.y, vds=0.05)
+    shifted = Curve(CurveKind.IDS_VGS, IV_X + 0.01, c.y, vds=0.05)
     with pytest.raises(DataError):
         rms_percent(shifted, c)
     with pytest.raises(DataError):
@@ -119,7 +119,7 @@ def small_model():
 def test_round_trip_pipeline_produces_finite_errors(small_model):
     ds, norm, w = small_model
     p = ModelParams.from_vector(ds.Y[ds.indices("test")[0]])
-    report = round_trip(simulate_curveset(p), w, norm, true_params=p, ranges=DEFAULT_RANGES)
+    report = round_trip(simulate_curveset(p), w, norm, true_params=p)
     assert len(report.curve_errors) == 5
     for ce in report.curve_errors:
         assert np.isfinite(ce.rms_percent) and ce.rms_percent >= 0
@@ -129,11 +129,11 @@ def test_round_trip_pipeline_produces_finite_errors(small_model):
 
 def test_variability_suite_identity_knob_matches_baseline(small_model):
     ds, norm, w = small_model
-    reports = variability_suite(REFERENCE_PARAMS, w, norm, ranges=DEFAULT_RANGES)
+    reports = variability_suite(REFERENCE_PARAMS, w, norm)
     assert len(reports) == 5
     assert reports[0].knobs == (1.0, 1.0)
     baseline = round_trip(simulate_curveset(REFERENCE_PARAMS), w, norm,
-                          true_params=REFERENCE_PARAMS, ranges=DEFAULT_RANGES)
+                          true_params=REFERENCE_PARAMS)
     for label in REPORT_CURVES:
         assert reports[0].error(label).rms_percent == baseline.error(label).rms_percent
     agg = aggregate_curve_errors(reports)
