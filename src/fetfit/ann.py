@@ -433,7 +433,8 @@ def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):
 
 
 def load_model(path):
-    """Returns (weights, normalizer, config)."""
+    """Returns (weights, normalizer, config). A malformed file, its
+    normalizer and the model's box included, raises a DataError naming it."""
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -454,13 +455,12 @@ def load_model(path):
     try:
         mcfg = MLPConfig(**{f.name: doc["mlp"][f.name] for f in fields(MLPConfig)})
         norm = Normalizer.from_dict(doc["normalizer"])
-        layers = doc["layers"]
-        if len(layers) != len(mcfg.widths) - 1:
-            raise DataError(f"{path}: expected {len(mcfg.widths) - 1} layers, got {len(layers)}")
-        W = [np.array(l["W"], dtype=float) for l in layers]
-        b = [np.array(l["b"], dtype=float) for l in layers]
-    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
+        W = [np.array(l["W"], dtype=float) for l in doc["layers"]]
+        b = [np.array(l["b"], dtype=float) for l in doc["layers"]]
+    except (AttributeError, ConfigError, DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
+    if len(W) != len(mcfg.widths) - 1:
+        raise DataError(f"{path}: expected {len(mcfg.widths) - 1} layers, got {len(W)}")
     w = MLPWeights(W, b)
     if w.widths != mcfg.widths:
         raise DataError(f"{path}: layer shapes {w.widths} disagree with config {mcfg.widths}")

@@ -93,9 +93,10 @@ def load_config(path) -> dict:
         for k in cfg.get(section, {}):
             if k not in allowed:
                 raise ConfigError(f"{path}: unknown key {section}.{k!r}")
-    for k in cfg.get("ranges", {}):
-        if k not in PARAM_NAMES:
-            raise ConfigError(f"{path}: unknown parameter in ranges: {k!r}")
+    try:  # every section is checked here, where the error can name the file
+        resolve_ranges(cfg), resolve_feature_cfg(cfg), resolve_mlp_cfg(cfg), resolve_train_cfg(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return cfg
 
 
@@ -119,16 +120,8 @@ def _settings(cls, section: str, cfg: dict):
 
 
 def resolve_ranges(cfg: dict) -> ParamRanges:
-    overrides = cfg.get("ranges", {})
-    if not overrides:
-        return DEFAULT_RANGES
-    merged = DEFAULT_RANGES.to_dict()
     with _config_section("ranges"):
-        for k, v in overrides.items():
-            if not isinstance(v, list) or len(v) != 2:
-                raise ValueError(f"{k} must be a [lo, hi] pair, got {v!r}")
-            merged[k] = [float(v[0]), float(v[1])]
-    return ParamRanges.from_dict(merged)
+        return ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), **cfg.get("ranges", {})})
 
 
 def resolve_feature_cfg(cfg: dict) -> FeatureConfig:
@@ -148,13 +141,13 @@ def resolve_train_cfg(cfg: dict, seed_flag=None) -> ann.TrainConfig:
     return tcfg if seed_flag is None else replace(tcfg, seed=seed_flag)
 
 
-def echo_config(out: Outputs, command: str, cfg: dict, extras: dict):
-    resolved = {
-        "command": command,
-        "ranges": resolve_ranges(cfg).to_dict(),
-        "features": asdict(resolve_feature_cfg(cfg)),
-    }
-    resolved.update(extras)
+def echo_config(out: Outputs, command: str, cfg: dict, extras: dict,
+                ranges: ParamRanges | None = None):
+    """Write config_resolved.json: the command, its feature settings, the
+    box it uses (none for a command that uses none) and ``extras``."""
+    resolved = {"command": command, "features": asdict(resolve_feature_cfg(cfg)), **extras}
+    if ranges is not None:
+        resolved["ranges"] = ranges.to_dict()
     _write_json(out.path("config_resolved.json"), resolved, sort_keys=True)
 
 
@@ -189,9 +182,8 @@ def _naming(directory):
         raise type(exc)(f"{directory}: {exc}") from exc
 
 
-def _generate(out: Outputs, n: int, seed: int, cfg: dict):
+def _generate(out: Outputs, n: int, seed: int, ranges: ParamRanges, fcfg: FeatureConfig):
     """Build and save a dataset; returns it with the wall time taken."""
-    ranges, fcfg = resolve_ranges(cfg), resolve_feature_cfg(cfg)
     t0 = time.perf_counter()
     ds = dataset.build_dataset(n, seed=seed, ranges=ranges, feature_cfg=fcfg)
     dataset.save_dataset(ds, out.path("dataset.csv"))
@@ -213,8 +205,9 @@ def _train(out: Outputs, ds, mcfg: ann.MLPConfig, tcfg: ann.TrainConfig):
 # ---- subcommands ----
 
 def cmd_gen(args, cfg: dict, out: Outputs) -> int:
-    echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed})
-    _, wall = _generate(out, args.n, args.seed, cfg)
+    ranges = resolve_ranges(cfg)
+    echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed}, ranges)
+    _, wall = _generate(out, args.n, args.seed, ranges, resolve_feature_cfg(cfg))
     print(f"generated {args.n} devices in {wall:.2f} s -> {out.out_dir / 'dataset.csv'}")
     return EXIT_OK
 
@@ -228,12 +221,13 @@ def cmd_train(args, cfg: dict, out: Outputs) -> int:
     if seed_flag is None and "seed" not in cfg.get("train", {}):
         seed_flag = cfg.get("seed")  # top-level seed as fallback
     tcfg = resolve_train_cfg(cfg, seed_flag=seed_flag)
+    ds = dataset.load_dataset(data_path)
     echo_config(out, "train", cfg, {
         "data": str(data_path),
         "mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed},
         "train": asdict(tcfg),
-    })
-    _, _, history, wall = _train(out, dataset.load_dataset(data_path), mcfg, tcfg)
+    }, ds.ranges)
+    _, _, history, wall = _train(out, ds, mcfg, tcfg)
     print(f"trained {history.meta['trained_epochs']} epochs in {wall:.2f} s; "
           f"best val loss {history.meta['best_val_loss']:.3e}")
     return EXIT_OK
@@ -270,8 +264,9 @@ def cmd_features(args, cfg: dict, out: Outputs) -> int:
 
 def cmd_extract(args, cfg: dict, out: Outputs) -> int:
     fcfg = resolve_feature_cfg(cfg)
-    echo_config(out, "extract", cfg, {"curves": str(args.curves), "model": str(args.model)})
     w, norm, _ = ann.load_model(args.model)
+    echo_config(out, "extract", cfg, {"curves": str(args.curves), "model": str(args.model)},
+                norm.param_ranges)
     cs = curve_io.read_curveset_dir(args.curves)
     with _naming(args.curves):
         fv = featurize(cs, fcfg)
@@ -317,12 +312,12 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
     if args.variability and not args.params:
         raise ConfigError("--variability needs --params (true base parameters)")
     fcfg = resolve_feature_cfg(cfg)
+    w, norm, _ = ann.load_model(args.model)
     echo_config(out, "verify", cfg, {
         "curves": str(args.curves) if args.curves else None,
         "params": str(args.params) if args.params else None,
         "model": str(args.model), "variability": bool(args.variability),
-    })
-    w, norm, _ = ann.load_model(args.model)
+    }, norm.param_ranges)
     if args.variability:
         base = read_params_file(args.params)
         reports = verify.variability_suite(base, w, norm, cfg=fcfg)
@@ -361,16 +356,17 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
 
 
 def cmd_demo(args, cfg: dict, out: Outputs) -> int:
+    ranges = resolve_ranges(cfg)
     echo_config(out, "demo", cfg, {
         "n": args.n, "devices": args.devices,
         "gen_seed": DEMO_GEN_SEED, "train_seed": DEMO_TRAIN_SEED,
-    })
+    }, ranges)
     fcfg = resolve_feature_cfg(cfg)
     mcfg = resolve_mlp_cfg(cfg)
     tcfg = resolve_train_cfg(cfg, seed_flag=DEMO_TRAIN_SEED)
 
     print(f"[1/4] generating {args.n} devices (seed {DEMO_GEN_SEED})")
-    ds, gen_wall = _generate(out, args.n, DEMO_GEN_SEED, cfg)
+    ds, gen_wall = _generate(out, args.n, DEMO_GEN_SEED, ranges, fcfg)
     print(f"      {gen_wall:.1f} s")
 
     print("[2/4] training the extractor")

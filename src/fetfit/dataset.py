@@ -7,7 +7,9 @@ line. Given (n, seed, ranges) the output bytes are fully deterministic.
 Generation is batch-first: the parameters are drawn as one (n, 14) block,
 and the devices are simulated and featurized a block of ``GEN_BLOCK`` rows
 per call. The rows are bit-identical to sampling, simulating and
-featurizing each device alone.
+featurizing each device alone. A device's parameters are a uniform point
+of the unit box, mapped into the ranges by ``ParamRanges.from_unit`` (see
+``params``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import logging
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 # numpy imports its random module on first use, about 14 ms; load it with the
@@ -43,7 +44,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 SPLIT_LABELS = ("train", "val", "test")
 _MAX_RESAMPLE = 100
-_LOG_COLS = [PARAM_NAMES.index(n) for n in sorted(LOG_UNIFORM_PARAMS)]
 
 #: Devices simulated and featurized per call by ``build_dataset``. Larger
 #: blocks run no faster and raise peak memory: a 1,250-device corpus grew
@@ -52,8 +52,9 @@ GEN_BLOCK = 256
 
 
 def sample_params(ranges: ParamRanges, rng: np.random.Generator, size: int | None = None):
-    """In-range draws: uniform per parameter, log-uniform for IOFF0,
-    redrawing a device while the C-V plateau margin is violated.
+    """In-range draws: uniform per parameter, log-uniform for IOFF0, that
+    is a uniform unit-box point mapped by ``ranges.from_unit``; a device is
+    redrawn while the C-V plateau margin is violated.
 
     ``size=None`` gives one ModelParams; an int gives a (size, 14) block in
     ``PARAM_NAMES`` order. A block takes the generator's stream exactly as
@@ -61,13 +62,10 @@ def sample_params(ranges: ParamRanges, rng: np.random.Generator, size: int | Non
     Raises ConfigError once 100 draws in a row are rejected.
     """
     n = 1 if size is None else size
-    lo, hi = ranges.lo_vector(), ranges.hi_vector()
-    lo[_LOG_COLS], hi[_LOG_COLS] = np.log(lo[_LOG_COLS]), np.log(hi[_LOG_COLS])
     kept, got, rejected = [], 0, 0  # rejected: draws in a row before this round
     while got < n:
         # one round redraws the devices still missing, 14 numbers each, in order
-        draw = rng.uniform(lo, hi, size=(n - got, len(PARAM_NAMES)))
-        draw[:, _LOG_COLS] = np.exp(draw[:, _LOG_COLS])
+        draw = ranges.from_unit(rng.random((n - got, len(PARAM_NAMES))))
         ok = draw[:, I_CGGMIN] + CGG_MARGIN_FF <= draw[:, I_CGGMAX]
         # rejected draws between consecutive accepted ones, the last run open
         runs = np.diff(np.concatenate(([-1 - rejected], np.flatnonzero(ok), [len(ok)]))) - 1
@@ -156,12 +154,30 @@ def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
 @dataclass
 class Normalizer:
     """Feature z-score statistics (fit on the training split only) plus the
-    parameter bounds used for min-max target mapping."""
+    parameter bounds used for min-max target mapping.
+
+    The constructor checks the shapes, that the feature statistics are
+    finite with ``feat_std > 0`` (raising DataError), and the bounds as
+    ``param_ranges``, the model's box (raising ConfigError)."""
 
     feat_mean: np.ndarray
     feat_std: np.ndarray
     param_lo: np.ndarray
     param_hi: np.ndarray
+
+    def __post_init__(self):
+        shapes = tuple(np.shape(a) for a in (self.feat_mean, self.feat_std,
+                                             self.param_lo, self.param_hi))
+        expected = ((len(FEATURE_NAMES),),) * 2 + ((len(PARAM_NAMES),),) * 2
+        if shapes != expected:
+            raise DataError(f"normalizer feat_mean, feat_std, param_lo and param_hi have "
+                            f"shapes {shapes}, expected {expected}")
+        if not (np.isfinite(self.feat_mean).all() and np.isfinite(self.feat_std).all()
+                and (self.feat_std > 0).all()):
+            raise DataError("normalizer feature statistics must be finite, with feat_std > 0")
+        self.param_ranges = ParamRanges(bounds={
+            n: (float(lo), float(hi)) for n, lo, hi in zip(PARAM_NAMES, self.param_lo,
+                                                           self.param_hi)})
 
     def normalize_features(self, X) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.feat_mean) / self.feat_std
@@ -174,12 +190,6 @@ class Normalizer:
 
     def denormalize_params(self, Yn) -> np.ndarray:
         return np.asarray(Yn, dtype=float) * (self.param_hi - self.param_lo) + self.param_lo
-
-    @cached_property
-    def param_ranges(self) -> ParamRanges:
-        """``param_lo``/``param_hi`` as ``ParamRanges``, built on first use."""
-        return ParamRanges(bounds={n: (float(lo), float(hi)) for n, lo, hi
-                                   in zip(PARAM_NAMES, self.param_lo, self.param_hi)})
 
     def to_dict(self) -> dict:
         return {
@@ -255,7 +265,7 @@ def load_dataset(path) -> Dataset:
     try:
         require_int("seed", meta.get("seed"), minimum=0)
         ranges = ParamRanges.from_dict(meta["ranges"])
-    except (ConfigError, TypeError, ValueError, IndexError) as exc:
+    except ConfigError as exc:
         raise DataError(f"{path}: bad meta line: {exc}") from exc
     expected_cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     if len(lines) < 2 or lines[1].split(",") != expected_cols:

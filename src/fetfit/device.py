@@ -107,12 +107,12 @@ class Curve:
     swept axis. A curve of a simulated block holds ``y`` as an (N, npts)
     array, one row per device, against the shared 1-D ``x``.
 
-    The constructor puts an ``x`` within ``GRID_TOL_V`` of a default sweep
-    on that read-only sweep, and checks any other ``x`` for being strictly
-    increasing and uniform; ``y`` must be finite and, for Ids and Cgg,
-    strictly positive. Curves made by ``simulate_curveset`` and
-    ``differentiate`` check ``y`` only, because their ``x`` is a module sweep
-    or the ``x`` of an existing curve.
+    The constructor requires at least 2 points, puts an ``x`` within
+    ``GRID_TOL_V`` of a default sweep on that read-only sweep, and checks
+    any other ``x`` for being strictly increasing and uniform; ``y`` must be
+    finite and, for Ids and Cgg, strictly positive. Curves made by
+    ``simulate_curveset`` and ``differentiate`` check ``y`` only, because
+    their ``x`` is a module sweep or the ``x`` of an existing curve.
     """
 
     kind: CurveKind
@@ -127,10 +127,12 @@ class Curve:
         self.y = np.asarray(self.y, dtype=float)
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise ValueError("x and y must be 1-D arrays of equal length")
+        if len(self.x) < 2:
+            raise ValueError(f"a curve needs at least 2 points, got {len(self.x)}")
         sweep = _default_sweep(self.x)
         if sweep is not None:
             self.x = sweep
-        elif len(self.x) >= 2:
+        else:
             dx = np.diff(self.x)
             if np.any(dx <= 0):
                 raise ValueError("x must be strictly increasing")

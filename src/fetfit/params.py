@@ -3,6 +3,12 @@
 The surrogate device model is controlled by 14 named parameters. Their
 canonical order (``PARAM_NAMES``) fixes the column layout of dataset files,
 the regression-target vector, and every serialized parameter document.
+
+``ParamRanges`` is the parameter box: it alone reads bounds from a
+document, checks them, and maps the box to and from the unit box
+(``from_unit``/``to_unit``), where the ``LOG_UNIFORM_PARAMS`` are
+logarithms. Corpus sampling draws unit-box points, and the direct-fit
+simplex searches over them.
 """
 
 from __future__ import annotations
@@ -22,8 +28,14 @@ PARAM_NAMES = (
     "LAMBDA", "RDSW", "IOFF0", "CGGMAX", "CGGMIN", "DVTCV", "ACV",
 )
 
-# Parameters drawn log-uniformly instead of uniformly.
+# Parameters drawn log-uniformly instead of uniformly, and their mask in
+# canonical order.
 LOG_UNIFORM_PARAMS = frozenset({"IOFF0"})
+_LOG_MASK = np.array([n in LOG_UNIFORM_PARAMS for n in PARAM_NAMES])
+
+# Parameters that ModelParams requires to be strictly positive.
+POSITIVE_PARAMS = ("IOFF0", "ACV", "VSATV")
+_POSITIVE_COLS = [PARAM_NAMES.index(n) for n in POSITIVE_PARAMS]
 
 # Minimum separation between the C-V plateau levels, fF.
 CGG_MARGIN_FF = 0.1
@@ -76,12 +88,9 @@ class ModelParams:
             if not math.isfinite(v):
                 raise InvalidParameterError(f"{f.name} must be finite, got {v!r}")
             object.__setattr__(self, f.name, float(v))
-        if self.IOFF0 <= 0:
-            raise InvalidParameterError(f"IOFF0 must be > 0, got {self.IOFF0}")
-        if self.ACV <= 0:
-            raise InvalidParameterError(f"ACV must be > 0, got {self.ACV}")
-        if self.VSATV <= 0:
-            raise InvalidParameterError(f"VSATV must be > 0, got {self.VSATV}")
+        for name in POSITIVE_PARAMS:
+            if getattr(self, name) <= 0:
+                raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.CGGMIN + CGG_MARGIN_FF > self.CGGMAX:
             raise InvalidParameterError(
                 f"CGGMIN + {CGG_MARGIN_FF} must not exceed CGGMAX "
@@ -116,11 +125,6 @@ class ModelParams:
         d = self.to_dict()
         d.update(changes)
         return ModelParams.from_dict(d)
-
-
-# Parameters that ModelParams requires to be strictly positive.
-POSITIVE_PARAMS = ("IOFF0", "ACV", "VSATV")
-_POSITIVE_COLS = [PARAM_NAMES.index(n) for n in POSITIVE_PARAMS]
 
 
 def check_param_block(values) -> np.ndarray:
@@ -214,15 +218,46 @@ class ParamRanges:
             vec[I_CGGMIN] = vec[I_CGGMAX] - CGG_MARGIN_FF
         return vec
 
-    def clip(self, params: ModelParams) -> ModelParams:
-        return ModelParams.from_vector(self.clip_vector(params.to_vector()))
+    @cached_property
+    def _unit_box(self) -> tuple:
+        # (lo, hi - lo) of the unit-box map, the log-uniform entries as logarithms
+        lo, hi = self.lo_vector(), self.hi_vector()
+        lo[_LOG_MASK], hi[_LOG_MASK] = np.log(lo[_LOG_MASK]), np.log(hi[_LOG_MASK])
+        return lo, hi - lo
+
+    def from_unit(self, u) -> np.ndarray:
+        """Map unit-box points, along the last axis, to parameter vectors:
+        0 gives lo and 1 gives hi, linearly for most parameters and on a log
+        scale for the ``LOG_UNIFORM_PARAMS``. A point outside [0, 1] maps
+        outside the box."""
+        lo, span = self._unit_box
+        z = u * span
+        z += lo
+        np.exp(z, out=z, where=_LOG_MASK)
+        return z
+
+    def to_unit(self, vec) -> np.ndarray:
+        """The inverse of ``from_unit``."""
+        lo, span = self._unit_box
+        z = np.array(vec, dtype=float)
+        z[..., _LOG_MASK] = np.log(z[..., _LOG_MASK])
+        return (z - lo) / span
 
     def to_dict(self) -> dict:
         return {n: list(self.bounds[n]) for n in PARAM_NAMES}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamRanges":
-        return cls(bounds={k: (float(v[0]), float(v[1])) for k, v in d.items()})
+        """Ranges from a document that maps each name to a [lo, hi] list of
+        two numbers (a bool or a string is not a number here)."""
+        bounds = {}
+        for name, pair in d.items():
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+                raise ConfigError(f"{name} bounds must be a [lo, hi] pair of numbers, "
+                                  f"got {pair!r}")
+            bounds[name] = (float(pair[0]), float(pair[1]))
+        return cls(bounds=bounds)
 
 
 #: Default Monte Carlo sampling ranges. Chosen so that every in-range draw

@@ -9,12 +9,14 @@ for wall-time comparisons.
 The simplex is the in-house ``_nelder_mead``, a bounded adaptive
 Nelder-Mead that evaluates scipy 1.17's points bit for bit (pinned by
 ``tests/test_nelder_mead.py``, which keeps scipy as the reference), so the
-package does not import scipy. It clips each point into the unit box once.
-Each evaluation is scored on raw arrays, both I-V curves in one pass, so
-the checks run where they are needed. The ranges and the evaluation budget
-are checked at entry. The target's grids and norms are checked once per
-fit, when the start point is scored with ``direct_fit_objective``. Every
-evaluation checks only its simulated values.
+package does not import scipy. It searches the unit box of
+``ParamRanges.from_unit`` (see ``params``) and clips each point into it
+once. Each evaluation is scored on raw arrays, both I-V curves in one
+pass, so the checks run where they are needed. The ranges and the
+evaluation budget are checked at entry. The target's grids and norms are
+checked once per fit, when the start point is scored with
+``direct_fit_objective``. Every evaluation checks only its simulated
+values.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .device import (Curve, CurveKind, CurveSet, ProcessKnobs, _Params, _simulat
                      simulate_curveset)
 from .errors import DataError
 from .features import FeatureConfig, featurize
-from .params import (CGG_MARGIN_FF, I_CGGMAX, I_CGGMIN, LOG_UNIFORM_PARAMS, PARAM_NAMES,
-                     ModelParams, ParamRanges)
+from .params import CGG_MARGIN_FF, I_CGGMAX, I_CGGMIN, PARAM_NAMES, ModelParams, ParamRanges
 
 log = logging.getLogger(__name__)
 
@@ -267,34 +268,6 @@ def holdout_round_trip(ds, norm: Normalizer, w: MLPWeights, n_devices: int = 200
     return reports, medians
 
 
-#: Parameters mapped to the unit box on a log scale.
-_LOG_MASK = np.array([name in LOG_UNIFORM_PARAMS for name in PARAM_NAMES])
-
-
-def _log_box(ranges: ParamRanges) -> tuple:
-    """(lo, hi - lo) of the ranges, with the log-uniform entries as logarithms."""
-    lo, hi = ranges.lo_vector(), ranges.hi_vector()
-    lo[_LOG_MASK] = np.log(lo[_LOG_MASK])
-    hi[_LOG_MASK] = np.log(hi[_LOG_MASK])
-    return lo, hi - lo
-
-
-def _to_unit_box(vec: np.ndarray, box: tuple) -> np.ndarray:
-    lo, span = box
-    z = vec.copy()
-    z[_LOG_MASK] = np.log(z[_LOG_MASK])
-    return (z - lo) / span
-
-
-def _from_unit_box(u: np.ndarray, box: tuple, ranges: ParamRanges) -> np.ndarray:
-    # u comes from _nelder_mead, which clips every point into the unit box
-    lo, span = box
-    z = u * span
-    z += lo
-    np.exp(z, out=z, where=_LOG_MASK)
-    return ranges.clip_vector(z)
-
-
 def direct_fit_objective(params: ModelParams, target: CurveSet) -> float:
     """Sum of the three stored curves' rms_percent values."""
     cs = simulate_curveset(params)
@@ -439,13 +412,13 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     evaluations of the fit, the start point's included) are checked at
     entry. Scoring ``init`` with ``direct_fit_objective`` checks the
     target's grids and norms once. The simplex (``_nelder_mead``) works in
-    the unit box, where the log-uniform parameters are logarithms; each
-    later evaluation maps its point to a parameter vector and checks only
-    the simulated values, and one ``ModelParams`` is built on return. With
-    DEBUG logging on, one line per fit gives the evaluations, how many of
-    them improved on the best point so far, the iterations, the shrinks,
-    why the simplex stopped, and the fit's wall time in all and per
-    evaluation.
+    the unit box of ``ranges.from_unit``, where the log-uniform parameters
+    are logarithms; each later evaluation maps its point to a parameter
+    vector and checks only the simulated values, and one ``ModelParams`` is
+    built on return. With DEBUG logging on, one line per fit gives the
+    evaluations, how many of them improved on the best point so far, the
+    iterations, the shrinks, why the simplex stopped, and the fit's wall
+    time in all and per evaluation.
     """
     if (isinstance(max_evals, bool) or not isinstance(max_evals, (int, np.integer))
             or max_evals < 1):
@@ -456,20 +429,20 @@ def direct_fit(target: CurveSet, ranges: ParamRanges, init: ModelParams,
     if best_obj == 0.0:
         log.debug("direct_fit: 1 evaluation; the start point fits the target exactly")
         return init
-    box = _log_box(ranges)
     objective = _vector_objective(target)
     best_vec, improved = None, 0
 
     def simplex_objective(u):
         nonlocal best_obj, best_vec, improved
-        vec = _from_unit_box(u, box, ranges)
+        # _nelder_mead clips u into the unit box; clip_vector restores the C-V margin
+        vec = ranges.clip_vector(ranges.from_unit(u))
         obj = objective(vec)
         if obj < best_obj:
             best_obj, best_vec, improved = obj, vec, improved + 1
         return obj
 
     evals, iterations, shrinks, converged = _nelder_mead(
-        simplex_objective, _to_unit_box(init.to_vector(), box), max_evals - 1)
+        simplex_objective, ranges.to_unit(init.to_vector()), max_evals - 1)
     if log.isEnabledFor(logging.DEBUG):
         seconds = time.perf_counter() - t0
         log.debug("direct_fit: %d evaluations, %d improvements, %d iterations, %d shrinks; "

@@ -320,6 +320,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, cfg", [
     (["gen", "--n", "100", "--seed", "1"], {"ranges": {"PHIG": 4.4}}),
+    (["gen", "--n", "100", "--seed", "1"], {"ranges": {"PHIG": ["4.3", "4.6"]}}),
     (["gen", "--n", "100", "--seed", "1"], {"features": {"ss_lo": 1.0, "ss_hi": 0.5}}),
     (["train", "--data", "absent.csv"], {"mlp": {"hidden": 64}}),
     (["train", "--data", "absent.csv"], {"train": {"refine": 0.1}}),
@@ -327,8 +328,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     (["train", "--data", "absent.csv"], {"train": {"max_epochs": 50.9}}),
     (["train", "--data", "absent.csv"], {"mlp": {"seed": 2.9}}),
     (["train", "--data", "absent.csv"], {"mlp": {"hidden": [64.7]}}),
-], ids=["ranges", "features", "mlp", "train", "train-batch-size-float",
-        "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float"])
+    (["features", "--curves", "absent"], {"mlp": {"hidden": 64}}),
+], ids=["ranges", "ranges-string-pair", "features", "mlp", "train", "train-batch-size-float",
+        "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float", "section-unused"])
 def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -336,7 +338,7 @@ def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     code = main(argv + ["--out", str(out), "--config", str(cfg_path)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("fetfit: error: ConfigError: bad ")
+    assert err.startswith(f"fetfit: error: ConfigError: {cfg_path}: bad ")
     assert err.count("\n") == 1
     assert not any(p.is_file() for p in out.rglob("*"))
 
@@ -412,9 +414,11 @@ def test_failure_removes_partial_outputs(tmp_path, trained_dirs, command):
     empty = tmp_path / "empty"
     empty.mkdir()
     model = str(trained_dirs[1] / "model.json")
+    no_val = tmp_path / "no_val.csv"  # loads, then training finds no validation rows
+    no_val.write_text((trained_dirs[0] / "dataset.csv").read_text().replace(",val\n", ",train\n"))
     argv = {
         "gen": ["gen", "--n", "100", "--seed", "1", "--config", str(cfg)],
-        "train": ["train", "--data", str(tmp_path / "absent.csv")],
+        "train": ["train", "--data", str(no_val)],
         "features": ["features", "--curves", str(empty)],
         "extract": ["extract", "--curves", str(empty), "--model", model],
         "verify": ["verify", "--curves", str(empty), "--model", model],
@@ -502,6 +506,30 @@ def test_extract_and_verify_clip_to_the_model_box(tmp_path):
     verified = json.loads((tmp_path / "ver" / "report.json").read_text())["predicted_params"]
     assert verified == extracted
     assert extracted["PHIG"] > 4.6 or extracted["U0"] > 1.5  # outside the default box
+    for run in ("ext", "ver"):  # each echoes the box it clipped to, the model's
+        resolved = json.loads((tmp_path / run / "config_resolved.json").read_text())
+        assert resolved["ranges"]["PHIG"] == [4.3, 4.8]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda norm: norm["feat_mean"].pop(),
+    lambda norm: norm["param_lo"].pop(),
+    lambda norm: norm["param_lo"].__setitem__(9, 0.0),  # IOFF0
+    lambda norm: norm["feat_std"].__setitem__(0, float("nan")),
+    lambda norm: norm["feature_names"].reverse(),
+], ids=["23-feat-mean", "13-param-lo", "ioff0-lo-zero", "nan-feat-std", "feature-names"])
+def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit):
+    doc = json.loads((trained_dirs[1] / "model.json").read_text())
+    edit(doc["normalizer"])
+    model, out, device = tmp_path / "model.json", tmp_path / "out", tmp_path / "device0"
+    model.write_text(json.dumps(doc))
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), device)
+    assert main(["extract", "--curves", str(device), "--model", str(model),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"fetfit: error: DataError: {model}: malformed model file: ")
+    assert err.count("\n") == 1
+    assert not any(p.is_file() for p in out.rglob("*"))
 
 
 @pytest.mark.parametrize("value", ["abc", None, [1], True, "missing"],
@@ -528,7 +556,13 @@ def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": "ab"}},
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [4.6, 4.3]}},
     lambda meta: [],
-], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object"])
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": {}}},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": "45"}},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [4.3, 4.6, 9.9]}},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [True, 4.6]}},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": ["4.3", "4.6"]}},
+], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object",
+        "object-range", "digit-string-range", "triple-range", "bool-range", "string-pair-range"])
 def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
     meta_line, *rest = (trained_dirs[0] / "dataset.csv").read_text().splitlines()
     data, out = tmp_path / "dataset.csv", tmp_path / "out"

@@ -227,6 +227,8 @@ def test_load_rejects_malformed(tmp_path):
         {**meta, "seed": -1},
         {**meta, "ranges": {**meta["ranges"], "PHIG": "ab"}},
         {**meta, "ranges": {**meta["ranges"], "PHIG": [4.3]}},
+        *({**meta, "ranges": {**meta["ranges"], "PHIG": v}}
+          for v in ({}, "45", [4.3, 4.6, 9.9], [True, 4.6], ["4.3", "4.6"])),
         {**meta, "ranges": inverted},
         {k: v for k, v in meta.items() if k != "ranges"},
         [],

@@ -25,7 +25,7 @@ from fetfit.device import (
 )
 from fetfit.errors import InvalidParameterError
 from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams
-from fetfit.verify import _from_unit_box, _log_box, _vector_objective
+from fetfit.verify import _vector_objective
 
 from ._dispatch import AVX2_ONLY, dispatch_family, golden
 from ._sampling import sample_params_list
@@ -199,6 +199,12 @@ def test_differentiate_second_order_cubic():
     assert g2.kind == CurveKind.GM2_VGS
     i = int(np.argmin(np.abs(x - 0.4)))
     assert g2.y[i] == pytest.approx(2.4, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_curve_needs_two_points(n):
+    with pytest.raises(ValueError, match=f"^a curve needs at least 2 points, got {n}$"):
+        Curve(CurveKind.IDS_VGS, np.zeros(n), np.ones(n), vds=0.05)
 
 
 def test_differentiate_too_few_points():
@@ -384,9 +390,8 @@ def _kernel_digest() -> str:
         put(ids(p, 0.5, vds))
         put(cgg(p, vgs[3:]))
     objective = _vector_objective(simulate_curveset(ps[0]))
-    box = _log_box(DEFAULT_RANGES)
     for u in np.random.default_rng(61).uniform(size=(200, len(PARAM_NAMES))):
-        vec = _from_unit_box(u, box, DEFAULT_RANGES)
+        vec = DEFAULT_RANGES.clip_vector(DEFAULT_RANGES.from_unit(u))
         put(vec)
         put(objective(vec))
     return h.hexdigest()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fetfit.errors import ConfigError, InvalidParameterError
-from fetfit.params import (DEFAULT_RANGES, POSITIVE_PARAMS, REFERENCE_PARAMS, ModelParams,
-                           ParamRanges)
+from fetfit.params import (DEFAULT_RANGES, LOG_UNIFORM_PARAMS, PARAM_NAMES, POSITIVE_PARAMS,
+                           REFERENCE_PARAMS, ModelParams, ParamRanges)
 
 
 @pytest.mark.parametrize("name", POSITIVE_PARAMS)
@@ -14,6 +14,26 @@ def test_ranges_reject_nonpositive_lower_bound_of_positive_params(name, lo):
     bounds = {**DEFAULT_RANGES.to_dict(), name: [lo, DEFAULT_RANGES.bounds[name][1]]}
     with pytest.raises(ConfigError, match=name):
         ParamRanges.from_dict(bounds)
+
+
+@pytest.mark.parametrize("value", [{}, "45", [4.3, 4.6, 9.9], [True, 4.6], ["4.3", "4.6"]],
+                         ids=["object", "string", "triple", "bool", "string-pair"])
+def test_ranges_from_dict_takes_only_a_pair_of_numbers(value):
+    with pytest.raises(ConfigError, match="^PHIG bounds must be a"):
+        ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), "PHIG": value})
+
+
+def test_unit_box_maps_corners_to_bounds_and_round_trips():
+    lo, hi = DEFAULT_RANGES.lo_vector(), DEFAULT_RANGES.hi_vector()
+    linear = [n not in LOG_UNIFORM_PARAMS for n in PARAM_NAMES]
+    n = len(PARAM_NAMES)
+    assert np.array_equal(DEFAULT_RANGES.from_unit(np.zeros(n))[linear], lo[linear])
+    assert np.array_equal(DEFAULT_RANGES.from_unit(np.ones(n))[linear], hi[linear])
+    np.testing.assert_allclose(DEFAULT_RANGES.from_unit(np.array([[0.0] * n, [1.0] * n])),
+                               [lo, hi], rtol=1e-12)
+    u = np.random.default_rng(4).random((50, n))
+    np.testing.assert_allclose(DEFAULT_RANGES.to_unit(DEFAULT_RANGES.from_unit(u)), u,
+                               rtol=0, atol=1e-12)
 
 
 def test_clip_vector_meets_model_params_invariants():
