@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataset import Dataset, Normalizer
 from .errors import (ConfigError, DataError, InvalidParameterError, TrainingDivergedError,
-                     read_text, require_int)
+                     read_text, require_int, require_number, require_numbers)
 from .features import N_FEATURES
 from .params import PARAM_NAMES, ModelParams
 
@@ -94,16 +94,15 @@ class TrainConfig:
     refine_factors: tuple = (0.1, 0.03)
 
     def __post_init__(self):
-        object.__setattr__(self, "refine_factors",
-                           tuple(float(f) for f in self.refine_factors))
+        for name in ("learning_rate", "beta1", "beta2", "eps"):
+            object.__setattr__(self, name, require_number(name, getattr(self, name)))
+        object.__setattr__(self, "refine_factors", tuple(
+            require_number("refine factor", f) for f in self.refine_factors))
         for name in ("batch_size", "max_epochs", "patience"):
             require_int(name, getattr(self, name))
         require_int("seed", self.seed, minimum=0)
         settings = (self.learning_rate, self.batch_size, self.max_epochs,
                     self.patience, self.beta1, self.beta2, self.eps)
-        # NaN fails every comparison, so finiteness is checked first
-        if not all(math.isfinite(v) for v in settings):
-            raise ConfigError("all training settings must be finite")
         if min(settings) <= 0:
             raise ConfigError("all training settings must be positive")
         if not (self.beta1 < 1 and self.beta2 < 1):
@@ -455,16 +454,16 @@ def load_model(path):
     try:
         mcfg = MLPConfig(**{f.name: doc["mlp"][f.name] for f in fields(MLPConfig)})
         norm = Normalizer.from_dict(doc["normalizer"])
-        W = [np.array(l["W"], dtype=float) for l in doc["layers"]]
-        b = [np.array(l["b"], dtype=float) for l in doc["layers"]]
+        layers, widths = doc["layers"], mcfg.widths
+        if len(layers) != len(widths) - 1:
+            raise DataError(f"expected {len(widths) - 1} layers, got {len(layers)}")
+        W, b = [], []
+        for i, layer in enumerate(layers):
+            W.append(require_numbers(f"layers[{i}].W", layer["W"], widths[i:i + 2]))
+            b.append(require_numbers(f"layers[{i}].b", layer["b"], widths[i + 1:i + 2]))
     except (AttributeError, ConfigError, DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
-    if len(W) != len(mcfg.widths) - 1:
-        raise DataError(f"{path}: expected {len(mcfg.widths) - 1} layers, got {len(W)}")
-    w = MLPWeights(W, b)
-    if w.widths != mcfg.widths:
-        raise DataError(f"{path}: layer shapes {w.widths} disagree with config {mcfg.widths}")
-    return w, norm, mcfg
+    return MLPWeights(W, b), norm, mcfg
 
 
 def write_history_csv(history: TrainHistory, path):

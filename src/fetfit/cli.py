@@ -21,7 +21,7 @@ from pathlib import Path
 from . import ann, curve_io, dataset, svg, verify
 from .device import CurveKind, simulate_curveset, simulate_ids_vds
 from .errors import (ConfigError, DataError, ExtractionError, FetfitError, InvalidParameterError,
-                     read_text)
+                     read_text, require_int)
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams, ParamRanges
 
@@ -35,14 +35,8 @@ DEMO_TRAIN_SEED = 202
 DEMO_N = 25000
 DEMO_DEVICES = 200
 
-_CONFIG_SECTIONS = {
-    "seed": int,
-    "ranges": dict,
-    "features": dict,
-    "mlp": dict,
-    "train": dict,
-    "paths": dict,
-}
+#: Config sections, each a JSON object; the one other top-level key is ``seed``.
+_CONFIG_SECTIONS = ("ranges", "features", "mlp", "train", "paths")
 #: Config keys that name a settings field differently.
 _ALIASES = {"refine": "refine_factors"}
 _FEATURE_KEYS = {f.name for f in fields(FeatureConfig)}
@@ -84,16 +78,20 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for key, value in cfg.items():
+        if key == "seed":
+            continue  # checked with the sections below
         if key not in _CONFIG_SECTIONS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
-        if not isinstance(value, _CONFIG_SECTIONS[key]):
-            raise ConfigError(f"{path}: {key} must be {_CONFIG_SECTIONS[key].__name__}")
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: {key} must be dict")
     for section, allowed in (("features", _FEATURE_KEYS), ("mlp", _MLP_KEYS),
                              ("train", _TRAIN_KEYS), ("paths", _PATH_KEYS)):
         for k in cfg.get(section, {}):
             if k not in allowed:
                 raise ConfigError(f"{path}: unknown key {section}.{k!r}")
     try:  # every section is checked here, where the error can name the file
+        with _config_section("seed"):
+            require_int("seed", cfg.get("seed", 0), minimum=0)
         resolve_ranges(cfg), resolve_feature_cfg(cfg), resolve_mlp_cfg(cfg), resolve_train_cfg(cfg)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -110,13 +108,10 @@ def _config_section(section: str):
 
 
 def _settings(cls, section: str, cfg: dict):
-    """The settings dataclass ``cls`` from one config section. Float fields
-    take any JSON number; every other value goes to the constructor as
-    given, so an integer setting written as a float is rejected there."""
-    floats = {f.name for f in fields(cls) if f.type in (float, "float")}
+    """The settings dataclass ``cls`` from one config section. Every value
+    goes to the constructor as given, and the constructor checks it."""
     with _config_section(section):
-        kw = {_ALIASES.get(k, k): v for k, v in cfg.get(section, {}).items()}
-        return cls(**{k: float(v) if k in floats else v for k, v in kw.items()})
+        return cls(**{_ALIASES.get(k, k): v for k, v in cfg.get(section, {}).items()})
 
 
 def resolve_ranges(cfg: dict) -> ParamRanges:

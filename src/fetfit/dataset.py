@@ -25,8 +25,9 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .device import simulate_curveset
-from .errors import ConfigError, DataError, ExtractionError, read_text, require_int
-from .features import FEATURE_NAMES, FeatureConfig, featurize
+from .errors import (ConfigError, DataError, ExtractionError, read_text, require_int,
+                     require_numbers)
+from .features import DEFAULT_FEATURE_CONFIG, FEATURE_NAMES, FeatureConfig, featurize
 from .params import (
     CGG_MARGIN_FF,
     DEFAULT_RANGES,
@@ -114,7 +115,7 @@ def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
     if ranges is None:
         ranges = DEFAULT_RANGES
     if feature_cfg is None:
-        feature_cfg = FeatureConfig()
+        feature_cfg = DEFAULT_FEATURE_CONFIG
     if n < 100:
         raise ConfigError(f"dataset size must be at least 100, got {n}")
     require_int("seed", seed, minimum=0)
@@ -156,8 +157,9 @@ class Normalizer:
     """Feature z-score statistics (fit on the training split only) plus the
     parameter bounds used for min-max target mapping.
 
-    The constructor checks the shapes, that the feature statistics are
-    finite with ``feat_std > 0`` (raising DataError), and the bounds as
+    The constructor takes each statistic as an array or nested lists and
+    checks that it holds finite numbers of the right shape, with
+    ``feat_std > 0`` (raising DataError), and the bounds as
     ``param_ranges``, the model's box (raising ConfigError)."""
 
     feat_mean: np.ndarray
@@ -166,18 +168,14 @@ class Normalizer:
     param_hi: np.ndarray
 
     def __post_init__(self):
-        shapes = tuple(np.shape(a) for a in (self.feat_mean, self.feat_std,
-                                             self.param_lo, self.param_hi))
-        expected = ((len(FEATURE_NAMES),),) * 2 + ((len(PARAM_NAMES),),) * 2
-        if shapes != expected:
-            raise DataError(f"normalizer feat_mean, feat_std, param_lo and param_hi have "
-                            f"shapes {shapes}, expected {expected}")
-        if not (np.isfinite(self.feat_mean).all() and np.isfinite(self.feat_std).all()
-                and (self.feat_std > 0).all()):
-            raise DataError("normalizer feature statistics must be finite, with feat_std > 0")
-        self.param_ranges = ParamRanges(bounds={
-            n: (float(lo), float(hi)) for n, lo, hi in zip(PARAM_NAMES, self.param_lo,
-                                                           self.param_hi)})
+        for name, size in (("feat_mean", len(FEATURE_NAMES)), ("feat_std", len(FEATURE_NAMES)),
+                           ("param_lo", len(PARAM_NAMES)), ("param_hi", len(PARAM_NAMES))):
+            setattr(self, name, require_numbers(f"normalizer.{name}", getattr(self, name),
+                                                (size,)))
+        if not (self.feat_std > 0).all():
+            raise DataError("normalizer.feat_std must be > 0")
+        self.param_ranges = ParamRanges(bounds=dict(zip(
+            PARAM_NAMES, zip(self.param_lo.tolist(), self.param_hi.tolist()))))
 
     def normalize_features(self, X) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.feat_mean) / self.feat_std
@@ -207,12 +205,8 @@ class Normalizer:
             raise DataError("normalizer feature names do not match this build")
         if list(d.get("param_names", [])) != list(PARAM_NAMES):
             raise DataError("normalizer parameter names do not match this build")
-        return cls(
-            feat_mean=np.array(d["feat_mean"], dtype=float),
-            feat_std=np.array(d["feat_std"], dtype=float),
-            param_lo=np.array(d["param_lo"], dtype=float),
-            param_hi=np.array(d["param_hi"], dtype=float),
-        )
+        return cls(feat_mean=d["feat_mean"], feat_std=d["feat_std"],
+                   param_lo=d["param_lo"], param_hi=d["param_hi"])
 
 
 def fit_normalizer(ds: Dataset) -> Normalizer:

@@ -1,6 +1,11 @@
 """Exception types shared across the package, the text-file reader that
-reports an undecodable file as one of them, and the integer-setting check
-that reports a bad setting as a ConfigError."""
+reports an undecodable file as one of them, and the checks of values read
+from JSON: ``require_int`` for an integer setting, and ``require_number``
+and ``require_numbers`` for a number and an array of numbers. These checks
+alone decide what a number is."""
+
+import math
+import reprlib
 
 import numpy as np
 
@@ -55,3 +60,41 @@ def require_int(name: str, value, minimum: int | None = None):
         raise ConfigError(f"{name} must be an int, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def require_number(name: str, value, error=ConfigError) -> float:
+    """``value`` as a float. Raise ``error`` unless it is an int or a float,
+    numpy numbers included but never a bool, and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a number, got {reprlib.repr(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float; its digits are not echoed
+        raise error(f"{name} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def require_numbers(name: str, values, shape: tuple) -> np.ndarray:
+    """``values``, nested lists of numbers, as a float array of ``shape``.
+    Raise DataError unless every entry is a number as ``require_number``
+    has it and the nesting gives ``shape``. A bool among numbers reads as
+    0 or 1, as numpy converts it."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting; its entries are lists
+        array = np.asarray(values, dtype=object)
+    if array.dtype.kind not in "fiu":
+        # name the first entry that is not a number; an object array keeps
+        # each entry as given, where a string array would have converted them
+        for value in np.asarray(values, dtype=object).flat:
+            require_number(f"an entry of {name}", value, DataError)
+    if array.shape != shape:
+        raise DataError(f"{name} must be an array of shape {shape}, got shape {array.shape}")
+    array = array.astype(float, copy=False)  # no copy of a float array
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise DataError(f"{name} must be finite, got {array[~finite][0].item()!r}")
+    return array
+

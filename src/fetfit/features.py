@@ -34,7 +34,7 @@ from .device import (
     CurveSet,
     differentiate,  # noqa: F401  public here; perfbench/tracing.py patches this name
 )
-from .errors import ExtractionError
+from .errors import ExtractionError, require_number
 
 FEATURE_NAMES = (
     "Cgg_max", "Cgg_min", "V_mid", "Cgg_inte", "Cgg_rms", "Cgg_slope",
@@ -57,11 +57,17 @@ class FeatureConfig:
     ss_hi: float = 3e-8    # A
 
     def __post_init__(self):
+        for name in ("i_crit", "ss_lo", "ss_hi"):
+            object.__setattr__(self, name, require_number(name, getattr(self, name)))
         if not 0 < self.ss_lo < self.ss_hi < self.i_crit * 10:
             raise ValueError(
                 f"need 0 < ss_lo < ss_hi < 10*i_crit, got "
                 f"({self.ss_lo}, {self.ss_hi}, {self.i_crit})"
             )
+
+
+#: The settings used when none are given; a frozen instance is safe to share.
+DEFAULT_FEATURE_CONFIG = FeatureConfig()
 
 
 def _require_default_grid(curve: Curve, grid: np.ndarray):
@@ -277,7 +283,7 @@ def featurize(cs: CurveSet, cfg: FeatureConfig | None = None) -> np.ndarray:
     row.
     """
     if cfg is None:
-        cfg = FeatureConfig()
+        cfg = DEFAULT_FEATURE_CONFIG
     for label, check, curve in (("Cgg", _check_cv, cs.cgg_low),
                                 ("IV low-Vds", _check_iv, cs.ids_low),
                                 ("IV high-Vds", _check_iv, cs.ids_high)):

@@ -13,13 +13,13 @@ simplex searches over them.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+import reprlib
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError, require_number
 
 # Canonical parameter order. Everything that maps parameters to/from flat
 # vectors (datasets, the network head, normalizers) uses this order.
@@ -81,13 +81,9 @@ class ModelParams:
     ACV: float
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InvalidParameterError(f"{f.name} must be a number, got {v!r}")
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"{f.name} must be finite, got {v!r}")
-            object.__setattr__(self, f.name, float(v))
+        for name in PARAM_NAMES:
+            object.__setattr__(self, name, require_number(name, getattr(self, name),
+                                                          InvalidParameterError))
         for name in POSITIVE_PARAMS:
             if getattr(self, name) <= 0:
                 raise InvalidParameterError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -106,7 +102,7 @@ class ModelParams:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (len(PARAM_NAMES),):
             raise InvalidParameterError(f"expected {len(PARAM_NAMES)} values, got shape {vec.shape}")
-        return cls(**{n: float(v) for n, v in zip(PARAM_NAMES, vec)})
+        return cls(*vec.tolist())  # the fields are in canonical order
 
     def to_dict(self) -> dict:
         return {n: getattr(self, n) for n in PARAM_NAMES}
@@ -171,15 +167,16 @@ class ParamRanges:
         extra = [k for k in self.bounds if k not in PARAM_NAMES]
         if extra:
             raise ConfigError(f"ranges contain unknown parameters: {extra}")
-        for name, (lo, hi) in self.bounds.items():
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"{name} bounds must be finite, got ({lo}, {hi})")
+        bounds = {}
+        for name, pair in self.bounds.items():
+            lo, hi = bounds[name] = tuple(require_number(f"{name} bounds", v) for v in pair)
             if lo > hi:
                 raise ConfigError(f"{name} bounds inverted: ({lo}, {hi})")
             if name in LOG_UNIFORM_PARAMS and lo <= 0:
                 raise ConfigError(f"{name} is log-uniform and needs lo > 0, got {lo}")
             if name in POSITIVE_PARAMS and lo <= 0:
                 raise ConfigError(f"{name} must be positive and needs lo > 0, got {lo}")
+        object.__setattr__(self, "bounds", bounds)
 
     @cached_property
     def _box(self) -> tuple:
@@ -249,15 +246,12 @@ class ParamRanges:
     @classmethod
     def from_dict(cls, d: dict) -> "ParamRanges":
         """Ranges from a document that maps each name to a [lo, hi] list of
-        two numbers (a bool or a string is not a number here)."""
-        bounds = {}
+        two numbers; the constructor checks the numbers."""
         for name, pair in d.items():
-            if not (isinstance(pair, list) and len(pair) == 2 and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+            if not (isinstance(pair, list) and len(pair) == 2):
                 raise ConfigError(f"{name} bounds must be a [lo, hi] pair of numbers, "
-                                  f"got {pair!r}")
-            bounds[name] = (float(pair[0]), float(pair[1]))
-        return cls(bounds=bounds)
+                                  f"got {reprlib.repr(pair)}")
+        return cls(bounds=d)
 
 
 #: Default Monte Carlo sampling ranges. Chosen so that every in-range draw

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .dataset import Normalizer
 from .device import (Curve, CurveKind, CurveSet, ProcessKnobs, _Params, _simulate, apply_knobs,
                      simulate_curveset)
 from .errors import DataError
-from .features import FeatureConfig, featurize
+from .features import DEFAULT_FEATURE_CONFIG, FeatureConfig, featurize
 from .params import CGG_MARGIN_FF, I_CGGMAX, I_CGGMIN, PARAM_NAMES, ModelParams, ParamRanges
 
 log = logging.getLogger(__name__)
@@ -184,7 +184,7 @@ def round_trip_from_params(target: CurveSet, predicted: ModelParams,
                            ranges: ParamRanges | None = None) -> VerifyReport:
     """Score an already-predicted parameter set against target curves."""
     if cfg is None:
-        cfg = FeatureConfig()
+        cfg = DEFAULT_FEATURE_CONFIG
     pred_cs = simulate_curveset(predicted)
     report = VerifyReport(
         predicted=predicted,
@@ -208,7 +208,7 @@ def round_trip(target: CurveSet, w: MLPWeights, norm: Normalizer,
     """Featurize the target, predict parameters within the model's box,
     resimulate, and score."""
     if cfg is None:
-        cfg = FeatureConfig()
+        cfg = DEFAULT_FEATURE_CONFIG
     t0 = time.perf_counter()
     fv = featurize(target, cfg)
     predicted = predict_params(w, norm, fv)

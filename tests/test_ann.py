@@ -29,6 +29,8 @@ from fetfit.dataset import Dataset, Normalizer, build_dataset, fit_normalizer
 from fetfit.errors import ConfigError, DataError, InvalidParameterError
 from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
 
+from ._non_numbers import NON_NUMBERS
+
 
 def small_weights(widths, seed=0):
     return init_weights(MLPConfig(widths=widths, seed=seed))
@@ -363,9 +365,15 @@ def test_train_rejects_shape_mismatch():
     {"seed": np.int64(-1)},
     {"seed": True},
     {"batch_size": "64"},
+    # the next four got through before the settings were checked with require_number:
+    {"learning_rate": NON_NUMBERS["string"]},  # a TypeError
+    {"learning_rate": NON_NUMBERS["bool"]},  # accepted, a learning rate of 1.0
+    {"refine_factors": (NON_NUMBERS["string"],)},  # accepted, converted by float()
+    {"learning_rate": NON_NUMBERS["huge-int"]},  # an OverflowError
 ], ids=["lr-nan", "eps-nan", "eps-inf", "beta1-nan", "beta1-one", "beta2-above-one",
         "beta2-zero", "batch-size-float", "max-epochs-float", "patience-float", "seed-float",
-        "seed-negative", "seed-negative-numpy", "seed-bool", "batch-size-str"])
+        "seed-negative", "seed-negative-numpy", "seed-bool", "batch-size-str",
+        "lr-string", "lr-bool", "refine-string", "lr-huge-int"])
 def test_train_config_rejects_bad_settings(setting):
     with pytest.raises(ConfigError):
         TrainConfig(**setting)

@@ -18,6 +18,7 @@ from fetfit.features import FEATURE_NAMES, FeatureConfig, featurize
 from fetfit.params import REFERENCE_PARAMS
 
 from ._dispatch import golden
+from ._non_numbers import NON_NUMBERS
 
 FAST_TRAIN = {"train": {"max_epochs": 8, "patience": 7, "refine": []}}
 
@@ -318,20 +319,37 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert not any(p.is_file() for p in (tmp_path / "o").rglob("*"))
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    (["gen", "--n", "100", "--seed", "1"], {"ranges": {"PHIG": 4.4}}),
-    (["gen", "--n", "100", "--seed", "1"], {"ranges": {"PHIG": ["4.3", "4.6"]}}),
-    (["gen", "--n", "100", "--seed", "1"], {"features": {"ss_lo": 1.0, "ss_hi": 0.5}}),
-    (["train", "--data", "absent.csv"], {"mlp": {"hidden": 64}}),
-    (["train", "--data", "absent.csv"], {"train": {"refine": 0.1}}),
-    (["train", "--data", "absent.csv"], {"train": {"batch_size": 2.5}}),
-    (["train", "--data", "absent.csv"], {"train": {"max_epochs": 50.9}}),
-    (["train", "--data", "absent.csv"], {"mlp": {"seed": 2.9}}),
-    (["train", "--data", "absent.csv"], {"mlp": {"hidden": [64.7]}}),
-    (["features", "--curves", "absent"], {"mlp": {"hidden": 64}}),
+GEN = ["gen", "--n", "100", "--seed", "1"]
+TRAIN = ["train", "--data", "absent.csv"]
+
+
+@pytest.mark.parametrize("argv, cfg, field", [
+    (GEN, {"ranges": {"PHIG": 4.4}}, "PHIG"),
+    (GEN, {"ranges": {"PHIG": ["4.3", "4.6"]}}, "PHIG"),
+    (GEN, {"features": {"ss_lo": 1.0, "ss_hi": 0.5}}, "ss_lo"),
+    (TRAIN, {"mlp": {"hidden": 64}}, None),
+    (TRAIN, {"train": {"refine": 0.1}}, None),
+    (TRAIN, {"train": {"batch_size": 2.5}}, "batch_size"),
+    (TRAIN, {"train": {"max_epochs": 50.9}}, "max_epochs"),
+    (TRAIN, {"mlp": {"seed": 2.9}}, "seed"),
+    (TRAIN, {"mlp": {"hidden": [64.7]}}, "layer width"),
+    (["features", "--curves", "absent"], {"mlp": {"hidden": 64}}, None),
+    (GEN, {"seed": NON_NUMBERS["string"]}, "seed"),
+    # the cases below got through, or ended in a traceback, before the config
+    # reader checked the seed and the settings checked their numbers themselves:
+    (GEN, {"seed": NON_NUMBERS["bool"]}, "seed"),  # gen exited 0
+    (GEN, {"seed": -5}, "seed"),  # gen exited 0
+    (GEN, {"features": {"i_crit": NON_NUMBERS["huge-int"]}}, "i_crit"),  # an OverflowError
+    (GEN, {"features": {"i_crit": NON_NUMBERS["inf"]}}, "i_crit"),  # every device failed
+    (TRAIN, {"train": {"learning_rate": NON_NUMBERS["string"]}}, "learning_rate"),
+    (TRAIN, {"train": {"learning_rate": NON_NUMBERS["bool"]}}, "learning_rate"),
 ], ids=["ranges", "ranges-string-pair", "features", "mlp", "train", "train-batch-size-float",
-        "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float", "section-unused"])
-def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
+        "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float", "section-unused",
+        "seed-string", "seed-bool", "seed-negative", "features-huge-int", "features-inf", "train-lr-string",
+        "train-lr-bool"])
+def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg, field):
+    """field: the name the message gives (None: the message names only the
+    section)."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -339,7 +357,8 @@ def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith(f"fetfit: error: ConfigError: {cfg_path}: bad ")
-    assert err.count("\n") == 1
+    assert field is None or field in err
+    assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
@@ -511,16 +530,26 @@ def test_extract_and_verify_clip_to_the_model_box(tmp_path):
         assert resolved["ranges"]["PHIG"] == [4.3, 4.8]
 
 
-@pytest.mark.parametrize("edit", [
-    lambda norm: norm["feat_mean"].pop(),
-    lambda norm: norm["param_lo"].pop(),
-    lambda norm: norm["param_lo"].__setitem__(9, 0.0),  # IOFF0
-    lambda norm: norm["feat_std"].__setitem__(0, float("nan")),
-    lambda norm: norm["feature_names"].reverse(),
-], ids=["23-feat-mean", "13-param-lo", "ioff0-lo-zero", "nan-feat-std", "feature-names"])
-def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit):
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc["normalizer"]["feat_mean"].pop(), "normalizer.feat_mean"),
+    (lambda doc: doc["normalizer"]["param_lo"].pop(), "normalizer.param_lo"),
+    (lambda doc: doc["normalizer"]["param_lo"].__setitem__(9, 0.0), "IOFF0"),
+    (lambda doc: doc["normalizer"]["feat_std"].__setitem__(0, float("nan")),
+     "normalizer.feat_std"),
+    (lambda doc: doc["normalizer"]["feature_names"].reverse(), "feature names"),
+    # the model loaded with each of the values below before it checked its
+    # arrays with require_numbers; the NaN weight made extract fail later,
+    # without naming the model file
+    (lambda doc: doc["normalizer"]["feat_mean"].__setitem__(0, NON_NUMBERS["string"]),
+     "normalizer.feat_mean"),
+    (lambda doc: doc["layers"][0]["W"][0].__setitem__(0, NON_NUMBERS["nan"]), "layers[0].W"),
+    (lambda doc: doc["layers"][1]["b"].__setitem__(0, NON_NUMBERS["string"]), "layers[1].b"),
+    (lambda doc: doc["layers"][1]["b"].__setitem__(0, NON_NUMBERS["huge-int"]), "layers[1].b"),
+], ids=["23-feat-mean", "13-param-lo", "ioff0-lo-zero", "nan-feat-std", "feature-names",
+        "string-feat-mean", "nan-weight", "string-bias", "huge-int-bias"])
+def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit, field):
     doc = json.loads((trained_dirs[1] / "model.json").read_text())
-    edit(doc["normalizer"])
+    edit(doc)
     model, out, device = tmp_path / "model.json", tmp_path / "out", tmp_path / "device0"
     model.write_text(json.dumps(doc))
     write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), device)
@@ -528,12 +557,14 @@ def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"fetfit: error: DataError: {model}: malformed model file: ")
-    assert err.count("\n") == 1
+    assert field in err
+    assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
-@pytest.mark.parametrize("value", ["abc", None, [1], True, "missing"],
-                         ids=["string", "null", "list", "bool", "missing-key"])
+@pytest.mark.parametrize("value", ["abc", None, [1], True, "missing",
+                                   NON_NUMBERS["huge-int"]],  # a traceback before
+                         ids=["string", "null", "list", "bool", "missing-key", "huge-int"])
 def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
     doc = REFERENCE_PARAMS.to_dict()
     if value == "missing":
@@ -546,7 +577,7 @@ def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
                  str(trained_dirs[1] / "model.json"), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"fetfit: error: DataError: {params}: ") and "PHIG" in err
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
@@ -561,8 +592,11 @@ def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [4.3, 4.6, 9.9]}},
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [True, 4.6]}},
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": ["4.3", "4.6"]}},
+    # an OverflowError traceback before the bounds were checked with require_number
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [NON_NUMBERS["huge-int"], 4.6]}},
 ], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object",
-        "object-range", "digit-string-range", "triple-range", "bool-range", "string-pair-range"])
+        "object-range", "digit-string-range", "triple-range", "bool-range", "string-pair-range",
+        "huge-int-range"])
 def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
     meta_line, *rest = (trained_dirs[0] / "dataset.csv").read_text().splitlines()
     data, out = tmp_path / "dataset.csv", tmp_path / "out"
@@ -571,5 +605,5 @@ def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
     assert main(["train", "--data", str(data), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"fetfit: error: DataError: {data}: ")
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fetfit.device import CV_X, IV_X, Curve, CurveKind, differentiate, simulate_curveset
-from fetfit.errors import ExtractionError
+from fetfit.errors import ConfigError, ExtractionError
 from fetfit.features import (
     FEATURE_NAMES,
     FeatureConfig,
@@ -20,6 +20,7 @@ from fetfit.features import (
 from fetfit.params import REFERENCE_PARAMS, ModelParams
 
 from . import _oracles
+from ._non_numbers import NON_NUMBERS
 from ._sampling import sample_params_list
 
 CFG = FeatureConfig()
@@ -269,6 +270,15 @@ def test_curve_functions_work_per_row():
 def test_feature_config_validation():
     with pytest.raises(ValueError):
         FeatureConfig(i_crit=1e-7, ss_lo=3e-8, ss_hi=3e-9)
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+def test_feature_config_takes_only_finite_numbers(value):
+    # before FeatureConfig checked its settings with require_number, a bool,
+    # inf or a huge integer was accepted and the others raised a TypeError
+    # or a ValueError
+    with pytest.raises(ConfigError, match="^i_crit must be"):
+        FeatureConfig(i_crit=value)
 
 
 def test_default_grid_is_a_validated_precondition():

@@ -7,6 +7,8 @@ from fetfit.errors import ConfigError, InvalidParameterError
 from fetfit.params import (DEFAULT_RANGES, LOG_UNIFORM_PARAMS, PARAM_NAMES, POSITIVE_PARAMS,
                            REFERENCE_PARAMS, ModelParams, ParamRanges)
 
+from ._non_numbers import NON_NUMBERS
+
 
 @pytest.mark.parametrize("name", POSITIVE_PARAMS)
 @pytest.mark.parametrize("lo", [0.0, -0.1])
@@ -16,10 +18,17 @@ def test_ranges_reject_nonpositive_lower_bound_of_positive_params(name, lo):
         ParamRanges.from_dict(bounds)
 
 
-@pytest.mark.parametrize("value", [{}, "45", [4.3, 4.6, 9.9], [True, 4.6], ["4.3", "4.6"]],
-                         ids=["object", "string", "triple", "bool", "string-pair"])
-def test_ranges_from_dict_takes_only_a_pair_of_numbers(value):
-    with pytest.raises(ConfigError, match="^PHIG bounds must be a"):
+@pytest.mark.parametrize("value, message", [
+    ({}, "^PHIG bounds must be a"),
+    ("45", "^PHIG bounds must be a"),
+    ([4.3, 4.6, 9.9], "^PHIG bounds must be a"),
+    ([True, 4.6], "^PHIG bounds must be a"),
+    (["4.3", "4.6"], "^PHIG bounds must be a"),
+    # an OverflowError from float() while from_dict converted the bounds itself
+    ([NON_NUMBERS["huge-int"], 4.6], "^PHIG bounds must be finite, got an integer too large for a float$"),
+], ids=["object", "string", "triple", "bool", "string-pair", "huge-int"])
+def test_ranges_from_dict_takes_only_a_pair_of_numbers(value, message):
+    with pytest.raises(ConfigError, match=message):
         ParamRanges.from_dict({**DEFAULT_RANGES.to_dict(), "PHIG": value})
 
 
@@ -53,7 +62,9 @@ def test_clip_vector_meets_model_params_invariants():
     ([4.4], r"PHIG must be a number, got \[4.4\]"),
     (True, "PHIG must be a number, got True"),
     (float("nan"), "PHIG must be finite, got nan"),
-], ids=["string", "null", "list", "bool", "nan"])
+    # an OverflowError from math.isfinite while ModelParams checked numbers itself
+    (NON_NUMBERS["huge-int"], "PHIG must be finite, got an integer too large for a float$"),
+], ids=["string", "null", "list", "bool", "nan", "huge-int"])
 def test_params_reject_non_numbers_by_name(value, message):
     # from_dict passes values through, so a bool or a string is not converted
     with pytest.raises(InvalidParameterError, match=message):
