@@ -23,9 +23,12 @@ bit-identical to the plain expressions.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
+import os
+import reprlib
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -33,22 +36,28 @@ import numpy as np
 
 from .dataset import Dataset, Normalizer
 from .errors import (ConfigError, DataError, InvalidParameterError, TrainingDivergedError,
-                     read_text, require_int, require_number, require_numbers)
+                     read_json, require_int, require_number, require_numbers)
 from .features import N_FEATURES
 from .params import PARAM_NAMES, ModelParams
 
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "fetfit-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 #: Default hidden layout: four layers, 340 neurons total.
 DEFAULT_HIDDEN = (128, 96, 72, 44)
 
+#: Largest width of any layer, input and output included. A 4096 x 4096
+#: layer holds 128 MiB of weights, and training keeps several more arrays
+#: of that size.
+MAX_LAYER_WIDTH = 4096
+
 
 @dataclass(frozen=True)
 class MLPConfig:
-    """Network shape and initialization. ``widths`` runs input to output."""
+    """Network shape and initialization. ``widths`` runs input to output,
+    each an int from 1 to ``MAX_LAYER_WIDTH``."""
 
     widths: tuple = (N_FEATURES, *DEFAULT_HIDDEN, len(PARAM_NAMES))
     activation: str = "swish"
@@ -58,7 +67,7 @@ class MLPConfig:
     def __post_init__(self):
         widths = tuple(self.widths)
         for w in widths:
-            require_int("layer width", w, minimum=1)
+            require_int("layer width", w, minimum=1, maximum=MAX_LAYER_WIDTH)
         if len(widths) < 2:
             raise ConfigError(f"bad layer widths {widths}")
         object.__setattr__(self, "widths", tuple(map(int, widths)))  # numpy ints too
@@ -416,37 +425,64 @@ def predict_params(w: MLPWeights, norm: Normalizer, fv) -> ModelParams:
 
 
 def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):
-    """Single self-describing JSON document; float repr round-trips exactly,
-    so a reloaded model reproduces predictions bit-for-bit."""
+    """Single self-describing JSON document (format version 2). The shape,
+    the settings and the normalizer are plain JSON; each layer's ``W`` and
+    ``b`` is one base64 string of the array's little-endian float64 bytes in
+    row-major order, its shape given by ``mlp.widths``. The bytes are the
+    weights themselves, so a reloaded model reproduces predictions
+    bit-for-bit."""
+    t0 = time.perf_counter()
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "mlp": asdict(mcfg),
         "normalizer": norm.to_dict(),
-        "layers": [{"W": wi.tolist(), "b": bi.tolist()} for wi, bi in zip(w.W, w.b)],
+        "layers": [{"W": _encode(wi), "b": _encode(bi)} for wi, bi in zip(w.W, w.b)],
     }
-    text = json.dumps(doc)  # one call: json.dump to a file uses the pure-Python encoder
+    text = json.dumps(doc) + "\n"  # one call: json.dump to a file uses the pure-Python encoder
     with open(path, "w") as fh:
         fh.write(text)
-        fh.write("\n")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("saved model %s: %d bytes in %.3f ms", path, len(text),
+                  1e3 * (time.perf_counter() - t0))
+
+
+def _encode(array: np.ndarray) -> str:
+    """The base64 text of ``array``'s little-endian float64 bytes, row-major."""
+    return base64.b64encode(array.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(name: str, text, shape: tuple) -> np.ndarray:
+    """The writable float64 array of ``shape`` that ``_encode`` wrote as
+    ``text``. Raise DataError unless ``text`` is a base64 string of exactly
+    that many values, each finite."""
+    if not isinstance(text, str):
+        raise DataError(f"{name} must be a base64 string, got {reprlib.repr(text)}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"{name} is not valid base64: {exc}") from exc
+    n = math.prod(shape)
+    if len(raw) != 8 * n:
+        raise DataError(f"{name} must hold {n} float64 values of shape {shape} "
+                        f"({8 * n} bytes), got {len(raw)} bytes")
+    return require_numbers(name, np.frombuffer(raw, "<f8").reshape(shape).astype(float), shape)
 
 
 def load_model(path):
     """Returns (weights, normalizer, config). A malformed file, its
-    normalizer and the model's box included, raises a DataError naming it."""
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not a valid model file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: not a model file: the document is a JSON "
-                        f"{type(doc).__name__}, not an object")
+    normalizer, the model's box and each layer's encoded arrays included,
+    raises a DataError naming it. A file of another format version (a
+    version-1 file held the weights as decimal lists) is unsupported:
+    retrain to get a version-2 file."""
+    t0 = time.perf_counter()
+    doc = read_json(path)
     if doc.get("format") != MODEL_FORMAT:
         raise DataError(f"{path}: unrecognized format {doc.get('format')!r}")
     if doc.get("version") != MODEL_VERSION:
         raise DataError(
             f"{path}: model version {doc.get('version')!r} unsupported "
-            f"(expected {MODEL_VERSION})"
+            f"(expected {MODEL_VERSION}); retrain the model"
         )
     missing = [key for key in ("mlp", "normalizer", "layers") if key not in doc]
     if missing:
@@ -459,10 +495,13 @@ def load_model(path):
             raise DataError(f"expected {len(widths) - 1} layers, got {len(layers)}")
         W, b = [], []
         for i, layer in enumerate(layers):
-            W.append(require_numbers(f"layers[{i}].W", layer["W"], widths[i:i + 2]))
-            b.append(require_numbers(f"layers[{i}].b", layer["b"], widths[i + 1:i + 2]))
+            W.append(_decode(f"layers[{i}].W", layer["W"], widths[i:i + 2]))
+            b.append(_decode(f"layers[{i}].b", layer["b"], widths[i + 1:i + 2]))
     except (AttributeError, ConfigError, DataError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("loaded model %s: %d bytes in %.3f ms", path, os.path.getsize(path),
+                  1e3 * (time.perf_counter() - t0))
     return MLPWeights(W, b), norm, mcfg
 
 

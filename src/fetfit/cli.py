@@ -21,7 +21,7 @@ from pathlib import Path
 from . import ann, curve_io, dataset, svg, verify
 from .device import CurveKind, simulate_curveset, simulate_ids_vds
 from .errors import (ConfigError, DataError, ExtractionError, FetfitError, InvalidParameterError,
-                     read_text, require_int)
+                     read_json, require_int)
 from .features import FEATURE_NAMES, FeatureConfig, featurize
 from .params import DEFAULT_RANGES, PARAM_NAMES, REFERENCE_PARAMS, ModelParams, ParamRanges
 
@@ -71,12 +71,7 @@ class Outputs:
 def load_config(path) -> dict:
     if path is None:
         return {}
-    try:
-        cfg = json.loads(read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    cfg = read_json(path, ConfigError)
     for key, value in cfg.items():
         if key == "seed":
             continue  # checked with the sections below
@@ -153,12 +148,7 @@ def _write_json(path, doc, sort_keys=False):
 
 
 def read_params_file(path) -> ModelParams:
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: parameter file must be a JSON object")
+    doc = read_json(path)
     try:
         return ModelParams.from_dict(doc)
     except InvalidParameterError as exc:

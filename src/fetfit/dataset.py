@@ -25,8 +25,8 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .device import simulate_curveset
-from .errors import (ConfigError, DataError, ExtractionError, read_text, require_int,
-                     require_numbers)
+from .errors import (ConfigError, DataError, ExtractionError, parse_json, read_text,
+                     require_int, require_numbers)
 from .features import DEFAULT_FEATURE_CONFIG, FEATURE_NAMES, FeatureConfig, featurize
 from .params import (
     CGG_MARGIN_FF,
@@ -250,12 +250,9 @@ def load_dataset(path) -> Dataset:
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("# meta "):
         raise DataError(f"{path}: missing '# meta' header line")
-    try:
-        meta = json.loads(lines[0][len("# meta "):])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: bad meta JSON: {exc}") from exc
-    if not isinstance(meta, dict) or not isinstance(meta.get("ranges"), dict):
-        raise DataError(f"{path}: the meta line must be a JSON object holding a ranges object")
+    meta = parse_json(lines[0][len("# meta "):], f"{path}: meta line")
+    if not isinstance(meta.get("ranges"), dict):
+        raise DataError(f"{path}: the meta line must hold a ranges object")
     try:
         require_int("seed", meta.get("seed"), minimum=0)
         ranges = ParamRanges.from_dict(meta["ranges"])

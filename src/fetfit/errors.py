@@ -1,11 +1,13 @@
-"""Exception types shared across the package, the text-file reader that
-reports an undecodable file as one of them, and the checks of values read
-from JSON: ``require_int`` for an integer setting, and ``require_number``
-and ``require_numbers`` for a number and an array of numbers. These checks
-alone decide what a number is."""
+"""Exception types shared across the package, the readers that report an
+undecodable file or a malformed JSON document as one of them, and the
+checks of values read from JSON: ``require_int`` for an integer setting,
+and ``require_number`` and ``require_numbers`` for a number and an array of
+numbers. These checks alone decide what a number is."""
 
+import json
 import math
 import reprlib
+import sys
 
 import numpy as np
 
@@ -53,13 +55,54 @@ def read_text(path, error=DataError) -> str:
         raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def require_int(name: str, value, minimum: int | None = None):
+#: The JSON name of each type other than dict that ``json.loads`` returns.
+_JSON_KINDS = {list: "array", str: "string", int: "number", float: "number", bool: "boolean",
+               type(None): "null"}
+
+
+def parse_json(text: str, source, error=DataError) -> dict:
+    """The JSON object in ``text``, read from ``source`` (a file, or a line
+    of one). Text that is not JSON, that holds an integer longer than
+    Python converts (4,300 digits by default) or nests too deeply for the
+    parser, or a document that is not an object, raises ``error`` with one
+    line naming ``source``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{source}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # the integer digit limit; its message names a Python setting
+        raise error(f"{source}: not valid JSON: an integer has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise error(f"{source}: not valid JSON: arrays or objects nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{source}: the document is a JSON {_JSON_KINDS[type(doc)]}, not an object")
+    return doc
+
+
+def read_json(path, error=DataError) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; anything else raises
+    ``error`` as ``read_text`` and ``parse_json`` do."""
+    return parse_json(read_text(path, error), path, error)
+
+
+def require_int(name: str, value, minimum: int | None = None, maximum: int | None = None):
     """Raise ConfigError unless ``value`` is an int or numpy integer (a bool
-    is not) no smaller than ``minimum``."""
+    is not) from ``minimum`` to ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
+        raise ConfigError(f"{name} must be an int, got {reprlib.repr(value)}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ConfigError(f"{name} must be >= {minimum}, got {_int_text(value)}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be <= {maximum}, got {_int_text(value)}")
+
+
+def _int_text(value) -> str:
+    """``value`` for a message, a long one shortened by ``reprlib``."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # Python prints no integer past its digit limit, 4,300 by default
+        return "an integer too long to print"
 
 
 def require_number(name: str, value, error=ConfigError) -> float:

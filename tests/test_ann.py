@@ -9,6 +9,7 @@ import pytest
 
 from fetfit.ann import (
     DEFAULT_HIDDEN,
+    MAX_LAYER_WIDTH,
     _adam_update,
     _sigmoid,
     _Work,
@@ -99,6 +100,14 @@ def test_init_deterministic_and_scaled():
     # empirical std of the widest layer within 10% of sqrt(2/fan_in)
     w0 = a.W[0]
     assert np.std(w0) == pytest.approx(np.sqrt(2.0 / w0.shape[0]), rel=0.10)
+
+
+def test_layer_widths_are_bounded():
+    assert MLPConfig(widths=(24, MAX_LAYER_WIDTH, 14)).widths[1] == 4096
+    for width in (0, MAX_LAYER_WIDTH + 1, 10**29, 10**4000, 10**5000):
+        with pytest.raises(ConfigError, match="^layer width must be") as info:
+            MLPConfig(widths=(24, width, 14))
+        assert len(str(info.value)) < 100  # a long width is not echoed in full
 
 
 def test_default_config_shape_contract():
@@ -455,11 +464,46 @@ def test_model_save_load_bit_exact(tmp_path):
     assert mcfg2 == mcfg
     fv = ds.X[0]
     assert predict_params(w, norm, fv) == predict_params(w2, norm2, fv)
+    for a, b in zip(w.W + w.b, w2.W + w2.b):
+        assert a.tobytes() == b.tobytes()
+        assert b.dtype == np.float64 and b.flags.writeable
+
+
+def test_model_save_load_keeps_extreme_values_bit_for_bit(tmp_path):
+    mcfg = MLPConfig(widths=(24, 4, 14), seed=1)
+    w = init_weights(mcfg)
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    w.W[0][0, :] = extremes
+    w.b[1][:4] = extremes
+    ds = tiny_dataset(n=120, seed=21)
+    path = tmp_path / "model.json"
+    save_model(path, w, identity_norm(ds), mcfg)
+    w2, _, _ = load_model(path)
+    for a, b in zip(w.W + w.b, w2.W + w2.b):
+        assert a.tobytes() == b.tobytes()
+    assert np.signbit(w2.W[0][0, 0]) and w2.b[1][1] == 5e-324
+
+
+def test_model_save_and_load_log_bytes_and_time_at_debug(tmp_path, caplog):
+    mcfg = MLPConfig(widths=(24, 4, 14), seed=1)
+    path = tmp_path / "model.json"
+    ds = tiny_dataset(n=120, seed=21)
+    with caplog.at_level(logging.INFO, logger="fetfit.ann"):
+        save_model(path, init_weights(mcfg), identity_norm(ds), mcfg)
+        load_model(path)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="fetfit.ann"):
+        save_model(path, init_weights(mcfg), identity_norm(ds), mcfg)
+        load_model(path)
+    size = path.stat().st_size
+    saved, loaded = caplog.messages
+    assert saved.startswith(f"saved model {path}: {size} bytes in ") and saved.endswith(" ms")
+    assert loaded.startswith(f"loaded model {path}: {size} bytes in ") and loaded.endswith(" ms")
 
 
 # sha256 of save_model's bytes for the model below; pins the model file
-# format (recorded with a json.dump writer, before the one-call json.dumps).
-GOLDEN_MODEL_SHA256 = "89dc3635019be7108ffaccb4022ac1b22072f0057ab6ecb3926404abffb78bee"
+# format (recorded when version 2 stored the weights as base64 float64 bytes).
+GOLDEN_MODEL_SHA256 = "f9ca43ada5d3990c4ad3001856a883154f475e4fe1aded2b06161083b560e6ed"
 
 
 def test_model_bytes_golden(tmp_path):
@@ -497,7 +541,7 @@ def test_model_load_rejects_bad_files(tmp_path):
 
     top_level_list = tmp_path / "list.json"
     top_level_list.write_text(json.dumps([doc]))
-    with pytest.raises(DataError, match="not a model file"):
+    with pytest.raises(DataError, match="the document is a JSON array, not an object"):
         load_model(top_level_list)
 
     for key in ("mlp", "normalizer", "layers"):

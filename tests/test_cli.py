@@ -1,5 +1,6 @@
 """CLI contract tests on reduced-scale runs."""
 
+import base64
 import hashlib
 import json
 import os
@@ -18,7 +19,7 @@ from fetfit.features import FEATURE_NAMES, FeatureConfig, featurize
 from fetfit.params import REFERENCE_PARAMS
 
 from ._dispatch import golden
-from ._non_numbers import NON_NUMBERS
+from ._non_numbers import NON_NUMBERS, dumps
 
 FAST_TRAIN = {"train": {"max_epochs": 8, "patience": 7, "refine": []}}
 
@@ -321,6 +322,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 GEN = ["gen", "--n", "100", "--seed", "1"]
 TRAIN = ["train", "--data", "absent.csv"]
+#: How a JSON reader's message starts for text that Python's reader refuses.
+UNPARSABLE = "not valid JSON: "
 
 
 @pytest.mark.parametrize("argv, cfg, field", [
@@ -343,20 +346,27 @@ TRAIN = ["train", "--data", "absent.csv"]
     (GEN, {"features": {"i_crit": NON_NUMBERS["inf"]}}, "i_crit"),  # every device failed
     (TRAIN, {"train": {"learning_rate": NON_NUMBERS["string"]}}, "learning_rate"),
     (TRAIN, {"train": {"learning_rate": NON_NUMBERS["bool"]}}, "learning_rate"),
+    # a traceback before: numpy's weight draw refused the width
+    (TRAIN, {"mlp": {"hidden": [10**29]}}, "layer width must be <= 4096"),
+    # tracebacks before the file was read with errors.read_json, which names
+    # the file; these fail before any section is read
+    (GEN, {"features": {"i_crit": NON_NUMBERS["5000-digit-int"]}}, UNPARSABLE),
+    (GEN, {"features": {"i_crit": NON_NUMBERS["deep-nest"]}}, UNPARSABLE),
 ], ids=["ranges", "ranges-string-pair", "features", "mlp", "train", "train-batch-size-float",
         "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float", "section-unused",
         "seed-string", "seed-bool", "seed-negative", "features-huge-int", "features-inf", "train-lr-string",
-        "train-lr-bool"])
+        "train-lr-bool", "mlp-hidden-over-bound", "features-5000-digit-int", "features-deep-nest"])
 def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg, field):
     """field: the name the message gives (None: the message names only the
-    section)."""
+    section; ``UNPARSABLE``: the file is not JSON Python reads)."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(dumps(cfg))
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out), "--config", str(cfg_path)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"fetfit: error: ConfigError: {cfg_path}: bad ")
+    reason = UNPARSABLE if field == UNPARSABLE else "bad "
+    assert err.startswith(f"fetfit: error: ConfigError: {cfg_path}: {reason}")
     assert field is None or field in err
     assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
@@ -530,53 +540,95 @@ def test_extract_and_verify_clip_to_the_model_box(tmp_path):
         assert resolved["ranges"]["PHIG"] == [4.3, 4.8]
 
 
-@pytest.mark.parametrize("edit, field", [
-    (lambda doc: doc["normalizer"]["feat_mean"].pop(), "normalizer.feat_mean"),
-    (lambda doc: doc["normalizer"]["param_lo"].pop(), "normalizer.param_lo"),
-    (lambda doc: doc["normalizer"]["param_lo"].__setitem__(9, 0.0), "IOFF0"),
-    (lambda doc: doc["normalizer"]["feat_std"].__setitem__(0, float("nan")),
+def _set_weights(doc, layer, key, values):
+    """Store ``values`` as layer ``layer``'s ``key`` array, as a version-2
+    model file holds it: base64 of little-endian float64 bytes."""
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    doc["layers"][layer][key] = base64.b64encode(raw).decode("ascii")
+
+
+def _weights(doc, layer, key):
+    return np.frombuffer(base64.b64decode(doc["layers"][layer][key]), "<f8")
+
+
+MALFORMED_MODEL = "malformed model file: "
+
+
+@pytest.mark.parametrize("edit, start, field", [
+    (lambda doc: doc["normalizer"]["feat_mean"].pop(), MALFORMED_MODEL, "normalizer.feat_mean"),
+    (lambda doc: doc["normalizer"]["param_lo"].pop(), MALFORMED_MODEL, "normalizer.param_lo"),
+    (lambda doc: doc["normalizer"]["param_lo"].__setitem__(9, 0.0), MALFORMED_MODEL, "IOFF0"),
+    (lambda doc: doc["normalizer"]["feat_std"].__setitem__(0, float("nan")), MALFORMED_MODEL,
      "normalizer.feat_std"),
-    (lambda doc: doc["normalizer"]["feature_names"].reverse(), "feature names"),
+    (lambda doc: doc["normalizer"]["feature_names"].reverse(), MALFORMED_MODEL, "feature names"),
     # the model loaded with each of the values below before it checked its
-    # arrays with require_numbers; the NaN weight made extract fail later,
-    # without naming the model file
+    # arrays; the NaN weight made extract fail later, without naming the
+    # model file
     (lambda doc: doc["normalizer"]["feat_mean"].__setitem__(0, NON_NUMBERS["string"]),
-     "normalizer.feat_mean"),
-    (lambda doc: doc["layers"][0]["W"][0].__setitem__(0, NON_NUMBERS["nan"]), "layers[0].W"),
-    (lambda doc: doc["layers"][1]["b"].__setitem__(0, NON_NUMBERS["string"]), "layers[1].b"),
-    (lambda doc: doc["layers"][1]["b"].__setitem__(0, NON_NUMBERS["huge-int"]), "layers[1].b"),
+     MALFORMED_MODEL, "normalizer.feat_mean"),
+    (lambda doc: _set_weights(doc, 0, "W", np.where(
+        np.arange(24 * 128) == 5, np.nan, _weights(doc, 0, "W"))),
+     MALFORMED_MODEL, "layers[0].W must be finite, got nan"),
+    (lambda doc: doc["layers"][1].__setitem__("b", NON_NUMBERS["string"]), MALFORMED_MODEL,
+     "layers[1].b is not valid base64"),
+    (lambda doc: doc["layers"][1].__setitem__("b", NON_NUMBERS["huge-int"]), MALFORMED_MODEL,
+     "layers[1].b must be a base64 string"),
+    (lambda doc: doc["layers"][1].__setitem__("b", [0.0] * 96), MALFORMED_MODEL,
+     "layers[1].b must be a base64 string"),  # as a version-1 file holds it
+    (lambda doc: doc["layers"][1].__setitem__("b", doc["layers"][1]["b"][:-1]), MALFORMED_MODEL,
+     "layers[1].b is not valid base64"),
+    (lambda doc: _set_weights(doc, 1, "b", _weights(doc, 1, "b")[:-1]), MALFORMED_MODEL,
+     "layers[1].b must hold 96 float64 values"),
+    (lambda doc: _set_weights(doc, 4, "W", np.full(44 * 14, np.inf)), MALFORMED_MODEL,
+     "layers[4].W must be finite, got inf"),
+    (lambda doc: doc["mlp"]["widths"].__setitem__(1, 5000), MALFORMED_MODEL,
+     "layer width must be <= 4096"),
+    (lambda doc: doc.__setitem__("version", 1), "model version 1 unsupported", "retrain"),
+    # tracebacks before the file was read with errors.read_json
+    (lambda doc: doc["normalizer"]["feat_mean"].__setitem__(0, NON_NUMBERS["5000-digit-int"]),
+     UNPARSABLE, "more than 4300 digits"),
+    (lambda doc: doc["normalizer"].__setitem__("feat_mean", NON_NUMBERS["deep-nest"]),
+     UNPARSABLE, "nested too deeply"),
 ], ids=["23-feat-mean", "13-param-lo", "ioff0-lo-zero", "nan-feat-std", "feature-names",
-        "string-feat-mean", "nan-weight", "string-bias", "huge-int-bias"])
-def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit, field):
+        "string-feat-mean", "nan-weight", "string-bias", "huge-int-bias", "list-bias",
+        "cut-base64", "short-bias", "inf-weights", "width-over-bound", "version-1",
+        "5000-digit-int", "deep-nest"])
+def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit, start, field):
+    """start: how the message goes on after the file name; field: what
+    else it names."""
     doc = json.loads((trained_dirs[1] / "model.json").read_text())
     edit(doc)
     model, out, device = tmp_path / "model.json", tmp_path / "out", tmp_path / "device0"
-    model.write_text(json.dumps(doc))
+    model.write_text(dumps(doc))
     write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), device)
     assert main(["extract", "--curves", str(device), "--model", str(model),
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"fetfit: error: DataError: {model}: malformed model file: ")
+    assert err.startswith(f"fetfit: error: DataError: {model}: {start}")
     assert field in err
     assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
-@pytest.mark.parametrize("value", ["abc", None, [1], True, "missing",
-                                   NON_NUMBERS["huge-int"]],  # a traceback before
-                         ids=["string", "null", "list", "bool", "missing-key", "huge-int"])
-def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
+@pytest.mark.parametrize("value, named", [
+    ("abc", "PHIG"), (None, "PHIG"), ([1], "PHIG"), (True, "PHIG"), ("missing", "PHIG"),
+    (NON_NUMBERS["huge-int"], "PHIG"),  # a traceback before
+    # tracebacks before the file was read with errors.read_json
+    (NON_NUMBERS["5000-digit-int"], UNPARSABLE), (NON_NUMBERS["deep-nest"], UNPARSABLE),
+], ids=["string", "null", "list", "bool", "missing-key", "huge-int", "5000-digit-int",
+        "deep-nest"])
+def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value, named):
     doc = REFERENCE_PARAMS.to_dict()
     if value == "missing":
         del doc["PHIG"]
     else:
         doc["PHIG"] = value
     params, out = tmp_path / "true.json", tmp_path / "out"
-    params.write_text(json.dumps(doc))
+    params.write_text(dumps(doc))
     assert main(["verify", "--params", str(params), "--model",
                  str(trained_dirs[1] / "model.json"), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"fetfit: error: DataError: {params}: ") and "PHIG" in err
+    assert err.startswith(f"fetfit: error: DataError: {params}: ") and named in err
     assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
 
@@ -594,16 +646,20 @@ def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value):
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": ["4.3", "4.6"]}},
     # an OverflowError traceback before the bounds were checked with require_number
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": [NON_NUMBERS["huge-int"], 4.6]}},
+    # tracebacks before the meta line was read with errors.parse_json
+    lambda meta: {**meta, "ranges": {**meta["ranges"],
+                                     "PHIG": [NON_NUMBERS["5000-digit-int"], 4.6]}},
+    lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": NON_NUMBERS["deep-nest"]}},
 ], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object",
         "object-range", "digit-string-range", "triple-range", "bool-range", "string-pair-range",
-        "huge-int-range"])
+        "huge-int-range", "5000-digit-int-range", "deep-nest-range"])
 def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
     meta_line, *rest = (trained_dirs[0] / "dataset.csv").read_text().splitlines()
     data, out = tmp_path / "dataset.csv", tmp_path / "out"
     meta = edit(json.loads(meta_line[len("# meta "):]))
-    data.write_text("\n".join(["# meta " + json.dumps(meta)] + rest) + "\n")
+    data.write_text("\n".join(["# meta " + dumps(meta)] + rest) + "\n")
     assert main(["train", "--data", str(data), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"fetfit: error: DataError: {data}: ")
+    assert err.startswith(f"fetfit: error: DataError: {data}: ") and "meta line" in err
     assert err.count("\n") == 1 and len(err) < 300
     assert not any(p.is_file() for p in out.rglob("*"))
