@@ -237,11 +237,12 @@ def cmd_features(args, cfg: dict, out: Outputs) -> int:
     fcfg = resolve_feature_cfg(cfg)
     echo_config(out, "features", cfg, {"curves": str(args.curves)})
     lines = ["device," + ",".join(FEATURE_NAMES)]
+    row_fmt = "%s" + ",%.17g" * len(FEATURE_NAMES)
     for name, directory in _discover_devices(args.curves):
         cs = curve_io.read_curveset_dir(directory)
         with _naming(directory):
             vec = featurize(cs, fcfg)
-        lines.append(name + "," + ",".join("%.17g" % v for v in vec))
+        lines.append(row_fmt % (name, *vec.tolist()))
     out.path("features.csv").write_text("\n".join(lines) + "\n")
     print(f"extracted features for {len(lines) - 1} device(s) -> {out.out_dir / 'features.csv'}")
     return EXIT_OK

@@ -48,9 +48,9 @@ def _bias_str(v: float | None) -> str:
     return "na" if v is None else _fmt(v)
 
 
-# Each default sweep, with its x column as write_curve_csv writes it: float()
-# maps those cells to exactly the grid, so a file carrying them needs no
-# conversion of its x column.
+# Each default sweep, with its x column as the writers write it (they reuse
+# these cells): float() maps those cells to exactly the grid, so a file
+# carrying them needs no conversion of its x column.
 _GRIDS = [(grid, tuple(map(_fmt, grid))) for grid in (IV_X, CV_X)]
 
 
@@ -63,6 +63,18 @@ def _x_column(cells: tuple) -> np.ndarray:
     return np.array(list(map(float, cells)))
 
 
+def _body(x: np.ndarray, *ys: np.ndarray) -> str:
+    """The data rows of x and the y columns, every cell ``%.17g``, formatted
+    by one % call; a default sweep's x cells are taken from ``_GRIDS``."""
+    tail = ",%.17g" * len(ys)
+    for grid, grid_cells in _GRIDS:
+        if x is grid:
+            return "\n".join([cell + tail for cell in grid_cells]) % tuple(
+                np.column_stack(ys).ravel().tolist())
+    return "\n".join(["%.17g" + tail] * len(x)) % tuple(
+        np.column_stack((x, *ys)).ravel().tolist())
+
+
 def _require_one_device(curve: Curve):
     if curve.y.ndim != 1:
         raise DataError(f"a curve CSV file holds one device; this {curve.kind.value} curve "
@@ -73,13 +85,9 @@ def write_curve_csv(curve: Curve, path):
     if curve.kind not in WRITABLE_KINDS:
         raise DataError(f"curve kind {curve.kind.value} has no CSV representation")
     _require_one_device(curve)
-    lines = [
-        f"# kind={curve.kind.value}, vds={_bias_str(curve.vds)}, "
-        f"vgs={_bias_str(curve.vgs)}, unit={CURVE_UNITS[curve.kind]}"
-    ]
-    for x, y in zip(curve.x, curve.y):
-        lines.append(f"{_fmt(x)},{_fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = (f"# kind={curve.kind.value}, vds={_bias_str(curve.vds)}, "
+              f"vgs={_bias_str(curve.vgs)}, unit={CURVE_UNITS[curve.kind]}")
+    Path(path).write_text(f"{header}\n{_body(curve.x, curve.y)}\n")
 
 
 def _parse_header(path, line: str):
@@ -210,11 +218,7 @@ def write_overlay_csv(target: Curve, extracted: Curve, path):
     """Two-curve overlay for plotting: x,target,extracted rows."""
     if target.x.shape != extracted.x.shape or np.any(target.x != extracted.x):
         raise DataError("overlay curves must share a grid")
-    unit = CURVE_UNITS[target.kind]
-    lines = [
-        f"# kind={target.kind.value}, vds={_bias_str(target.vds)}, "
-        f"vgs={_bias_str(target.vgs)}, unit={unit}, columns=x,target,extracted"
-    ]
-    for x, t, e in zip(target.x, target.y, extracted.y):
-        lines.append(f"{_fmt(x)},{_fmt(t)},{_fmt(e)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = (f"# kind={target.kind.value}, vds={_bias_str(target.vds)}, "
+              f"vgs={_bias_str(target.vgs)}, unit={CURVE_UNITS[target.kind]}, "
+              f"columns=x,target,extracted")
+    Path(path).write_text(f"{header}\n{_body(target.x, target.y, extracted.y)}\n")

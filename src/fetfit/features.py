@@ -197,20 +197,29 @@ def _ss(x: np.ndarray, y: np.ndarray, cfg: FeatureConfig, fail: list) -> np.ndar
     fail.append((few, lambda r: (
         f"SS: only {count[r]} grid points inside the window "
         f"[{cfg.ss_lo:.3e}, {cfg.ss_hi:.3e}] A (need 3)")))
-    ss = np.full(len(y), np.nan)
-    # every row's window points, row after row, in grid order (x by column)
-    z_in, x_in = np.log10(y[inside]), x[inside.nonzero()[1]]
-    first = np.cumsum(count) - count
-    # Rows whose windows hold equally many points are fitted together: each
-    # row's sums and dot products then run over exactly its own points, as
-    # for one device alone, which keeps the result bit-identical.
-    for n in set(count[~few].tolist()):
-        rows = np.flatnonzero(count == n)
-        at = first[rows][:, None] + np.arange(n)
-        z, v = z_in[at], x_in[at]
-        zc = z - z.sum(axis=1, keepdims=True) / n
-        slope = np.vecdot(zc, v - v.sum(axis=1, keepdims=True) / n) / np.vecdot(zc, zc)
-        ss[rows] = 1000.0 * slope
+    # Rows in order of window size (stable), so that the window points of the
+    # rows of one size form one contiguous run of w, row after row in grid
+    # order: log10(Ids) in w[0], Vgs in w[1].
+    order = np.argsort(count, kind="stable")
+    sizes = count[order]
+    ordered = inside[order]
+    w = np.stack((np.log10(y[order][ordered]), np.broadcast_to(x, y.shape)[ordered]))
+    # The k rows of each size n are fitted together from a (2, k, n) view:
+    # each row's sums and dot products then run over exactly its own points,
+    # as for one device alone, which keeps the result bit-identical. dots
+    # holds [dz . dz, dz . dv] per ordered row, dz and dv being the centred
+    # log10(Ids) and Vgs; rows with fewer than 3 points stay NaN.
+    dots = np.full((2, len(y)), np.nan)
+    row = point = 0
+    for last in np.flatnonzero(sizes[:-1] != sizes[1:]).tolist() + [len(y) - 1]:
+        n, k = int(sizes[last]), last + 1 - row
+        if n >= 3:
+            wb = w[:, point:point + k * n].reshape(2, k, n)
+            wc = wb - wb.sum(axis=2, keepdims=True) / n
+            np.vecdot(wc[0], wc, out=dots[:, row:row + k])
+        row, point = last + 1, point + k * n
+    ss = np.empty(len(y))
+    ss[order] = 1000.0 * (dots[1] / dots[0])
     return ss
 
 

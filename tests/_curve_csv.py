@@ -1,6 +1,7 @@
-"""The line-by-line curve-CSV parser, kept as the reference that the bulk
-reader in ``fetfit.curve_io`` must agree with. Like the reader, it puts an
-x column within 1e-9 V of a default sweep point for point on that sweep."""
+"""The line-by-line curve-CSV parser and the row-by-row writers, kept as
+the references that the bulk reader and writers in ``fetfit.curve_io`` must
+agree with. Like the reader, the parser puts an x column within 1e-9 V of a
+default sweep point for point on that sweep."""
 
 from pathlib import Path
 
@@ -61,3 +62,32 @@ def read_curve_csv_by_line(path) -> Curve:
         return Curve(kind, np.array(xs), np.array(ys), vds=vds, vgs=vgs)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _cell(v) -> str:
+    return "%.17g" % v
+
+
+def _bias_cell(v) -> str:
+    return "na" if v is None else _cell(v)
+
+
+def write_curve_csv_by_row(curve: Curve, path):
+    """The row-by-row curve-CSV writer, kept as the reference for the bytes
+    that ``fetfit.curve_io.write_curve_csv`` writes."""
+    lines = [f"# kind={curve.kind.value}, vds={_bias_cell(curve.vds)}, "
+             f"vgs={_bias_cell(curve.vgs)}, unit={CURVE_UNITS[curve.kind]}"]
+    for x, y in zip(curve.x, curve.y):
+        lines.append(f"{_cell(x)},{_cell(y)}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_overlay_csv_by_row(target: Curve, extracted: Curve, path):
+    """The row-by-row overlay writer, the reference for
+    ``fetfit.curve_io.write_overlay_csv``."""
+    lines = [f"# kind={target.kind.value}, vds={_bias_cell(target.vds)}, "
+             f"vgs={_bias_cell(target.vgs)}, unit={CURVE_UNITS[target.kind]}, "
+             f"columns=x,target,extracted"]
+    for x, t, e in zip(target.x, target.y, extracted.y):
+        lines.append(f"{_cell(x)},{_cell(t)},{_cell(e)}")
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -74,6 +74,7 @@ def test_features_command(tmp_path, trained_dirs):
     values = np.array([float(v) for v in lines[1].split(",")[1:]])
     expected = featurize(simulate_curveset(REFERENCE_PARAMS), FeatureConfig())
     np.testing.assert_allclose(values, expected, rtol=1e-15)
+    assert lines[1] == "device0," + ",".join("%.17g" % v for v in expected)
 
 
 def test_extract_command(tmp_path, trained_dirs):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fetfit.curve_io import (
+    WRITABLE_KINDS,
     read_curve_csv,
     read_curveset_dir,
     write_curve_csv,
@@ -15,7 +16,7 @@ from fetfit.device import (CV_X, IV_X, Curve, CurveKind, differentiate, simulate
 from fetfit.errors import DataError
 from fetfit.params import REFERENCE_PARAMS
 
-from ._curve_csv import read_curve_csv_by_line
+from ._curve_csv import read_curve_csv_by_line, write_curve_csv_by_row, write_overlay_csv_by_row
 
 
 def test_round_trip_all_kinds(tmp_path):
@@ -97,6 +98,27 @@ def test_overlay_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert "columns=x,target,extracted" in lines[0]
     assert len(lines) == 82
+
+
+def test_writers_match_the_row_by_row_reference(tmp_path):
+    cs = simulate_curveset(REFERENCE_PARAMS)
+    # off every default sweep, with a signed zero, a subnormal and the largest float
+    odd = Curve(CurveKind.GM_VGS, [-0.0, 0.25, 0.5], [-0.0, 5e-324, -1.7976931348623157e308])
+    curves = [cs.ids_low, cs.cgg_low, cs.gm_high(), simulate_ids_vds(REFERENCE_PARAMS, [0.5])[0],
+              odd]
+    assert {c.kind for c in curves} == set(WRITABLE_KINDS)
+    for i, curve in enumerate(curves):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_curve_csv(curve, got)
+        write_curve_csv_by_row(curve, want)
+        assert got.read_bytes() == want.read_bytes(), curve.kind
+    for i, (target, extracted) in enumerate([
+            (cs.ids_low, cs.ids_low.scaled(1.01)), (cs.cgg_low, cs.cgg_low.scaled(0.99)),
+            (odd, Curve(CurveKind.GM_VGS, odd.x, [1.0, -2.5e-7, 3.0]))]):
+        got, want = tmp_path / f"got_overlay{i}.csv", tmp_path / f"want_overlay{i}.csv"
+        write_overlay_csv(target, extracted, got)
+        write_overlay_csv_by_row(target, extracted, want)
+        assert got.read_bytes() == want.read_bytes(), target.kind
 
 
 def _written(kind: str, path) -> str:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from fetfit.dataset import (
+    GEN_BLOCK,
+    RNG_ALGORITHM,
     Dataset,
     Normalizer,
     build_dataset,
@@ -19,7 +21,8 @@ from fetfit.dataset import (
 from fetfit.errors import ConfigError, DataError
 from fetfit.features import FEATURE_NAMES, FeatureConfig, featurize
 from fetfit.device import simulate_curveset
-from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
+from fetfit.params import (DEFAULT_RANGES, LOG_UNIFORM_PARAMS, PARAM_NAMES, ModelParams,
+                           ParamRanges)
 
 from ._dispatch import golden
 from ._sampling import draw_sequential
@@ -247,6 +250,26 @@ def dataset_digest(tmp_path) -> str:
 
 def test_dataset_bytes_golden(tmp_path):
     assert dataset_digest(tmp_path) == golden(GOLDEN_DATASET_SHA256, "dataset digest")
+
+
+def save_dataset_by_row(ds, path):
+    """The row-by-row writer, kept as the reference for the bytes that
+    ``save_dataset`` writes a chunk of rows at a time."""
+    meta = {"seed": ds.seed, "n": ds.n, "rng": RNG_ALGORITHM, "ranges": ds.ranges.to_dict(),
+            "log_uniform": sorted(LOG_UNIFORM_PARAMS)}
+    cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
+    lines = ["# meta " + json.dumps(meta, sort_keys=True), ",".join(cols)]
+    for x, y, label in zip(ds.X, ds.Y, ds.split):
+        lines.append(",".join(["%.17g" % v for v in (*x, *y)] + [label]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_save_dataset_matches_the_row_by_row_writer(tmp_path):
+    ds = build_dataset(600, seed=26)  # two full chunks of GEN_BLOCK rows and a partial one
+    assert 2 * GEN_BLOCK < ds.n < 3 * GEN_BLOCK
+    save_dataset(ds, tmp_path / "ds.csv")
+    save_dataset_by_row(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "ds.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("row, reason", [

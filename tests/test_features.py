@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fetfit.dataset import sample_params
 from fetfit.device import CV_X, IV_X, Curve, CurveKind, differentiate, simulate_curveset
 from fetfit.errors import ConfigError, ExtractionError
 from fetfit.features import (
@@ -17,7 +18,7 @@ from fetfit.features import (
     trapz,
     vth_constant_current,
 )
-from fetfit.params import REFERENCE_PARAMS, ModelParams
+from fetfit.params import DEFAULT_RANGES, REFERENCE_PARAMS, ModelParams
 
 from . import _oracles
 from ._non_numbers import NON_NUMBERS
@@ -250,6 +251,36 @@ def test_block_failure_names_first_row_and_lists_all():
     assert str(batch.value) == str(single.value)
     assert str(batch.value).startswith("IV low-Vds: Vth: curve starts at")
     assert list(batch.value.rows) == [2, 4]
+    # reversed, the failing rows are 1 and 3, and row 1 holds block[4]
+    with pytest.raises(ExtractionError) as single:
+        featurize(simulate_curveset(ModelParams.from_vector(block[4])), CFG)
+    with pytest.raises(ExtractionError) as batch:
+        featurize(simulate_curveset(block[::-1]), CFG)
+    assert str(batch.value) == str(single.value)
+    assert list(batch.value.rows) == [1, 3]
+
+
+def test_featurize_of_a_permuted_block_is_the_permuted_output():
+    block = sample_params(DEFAULT_RANGES, np.random.default_rng(24), size=500)
+    perm = np.random.default_rng(25).permutation(len(block))
+    cs, permuted = simulate_curveset(block), simulate_curveset(block[perm])
+    inside = (cs.ids_low.y >= CFG.ss_lo) & (cs.ids_low.y <= CFG.ss_hi)
+    assert len(set(inside.sum(axis=1).tolist())) > 30  # many SS window sizes
+    assert featurize(permuted, CFG).tobytes() == featurize(cs, CFG)[perm].tobytes()
+    # a narrow SS window leaves some rows fewer than 3 points: the error still
+    # names the first failing row of the permuted block and lists them all
+    narrow = FeatureConfig(ss_hi=7e-9)
+    with pytest.raises(ExtractionError) as unpermuted:
+        featurize(cs, narrow)
+    with pytest.raises(ExtractionError) as batch:
+        featurize(permuted, narrow)
+    rows = np.flatnonzero(np.isin(perm, unpermuted.value.rows))
+    assert 0 < len(rows) < len(block)
+    assert np.array_equal(batch.value.rows, rows)
+    with pytest.raises(ExtractionError) as single:
+        featurize(simulate_curveset(ModelParams.from_vector(block[perm[rows[0]]])), narrow)
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith("IV low-Vds: SS: only ")
 
 
 def test_curve_functions_work_per_row():
