@@ -43,7 +43,7 @@ from .params import PARAM_NAMES, ModelParams
 log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "fetfit-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 #: Default hidden layout: four layers, 340 neurons total.
 DEFAULT_HIDDEN = (128, 96, 72, 44)
@@ -425,12 +425,12 @@ def predict_params(w: MLPWeights, norm: Normalizer, fv) -> ModelParams:
 
 
 def save_model(path, w: MLPWeights, norm: Normalizer, mcfg: MLPConfig):
-    """Single self-describing JSON document (format version 2). The shape,
-    the settings and the normalizer are plain JSON; each layer's ``W`` and
-    ``b`` is one base64 string of the array's little-endian float64 bytes in
-    row-major order, its shape given by ``mlp.widths``. The bytes are the
-    weights themselves, so a reloaded model reproduces predictions
-    bit-for-bit."""
+    """Single self-describing JSON document (format version 3). The shape,
+    the settings and the normalizer, with the feature settings, are plain
+    JSON; each layer's ``W`` and ``b`` is one base64 string of the array's
+    little-endian float64 bytes in row-major order, its shape given by
+    ``mlp.widths``. The bytes are the weights themselves, so a reloaded
+    model reproduces predictions bit-for-bit."""
     t0 = time.perf_counter()
     doc = {
         "format": MODEL_FORMAT,
@@ -471,10 +471,11 @@ def _decode(name: str, text, shape: tuple) -> np.ndarray:
 
 def load_model(path):
     """Returns (weights, normalizer, config). A malformed file, its
-    normalizer, the model's box and each layer's encoded arrays included,
-    raises a DataError naming it. A file of another format version (a
-    version-1 file held the weights as decimal lists) is unsupported:
-    retrain to get a version-2 file."""
+    normalizer, the model's box, its feature settings and each layer's
+    encoded arrays included, raises a DataError naming it. A file of another
+    format version (a version-1 file held the weights as decimal lists, a
+    version-2 file lacked the feature settings) is unsupported: retrain to
+    get a version-3 file."""
     t0 = time.perf_counter()
     doc = read_json(path)
     if doc.get("format") != MODEL_FORMAT:

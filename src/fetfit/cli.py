@@ -131,11 +131,12 @@ def resolve_train_cfg(cfg: dict, seed_flag=None) -> ann.TrainConfig:
     return tcfg if seed_flag is None else replace(tcfg, seed=seed_flag)
 
 
-def echo_config(out: Outputs, command: str, cfg: dict, extras: dict,
+def echo_config(out: Outputs, command: str, features: FeatureConfig, extras: dict,
                 ranges: ParamRanges | None = None):
-    """Write config_resolved.json: the command, its feature settings, the
-    box it uses (none for a command that uses none) and ``extras``."""
-    resolved = {"command": command, "features": asdict(resolve_feature_cfg(cfg)), **extras}
+    """Write config_resolved.json: the command, the feature settings it
+    uses, the box it uses (none for a command that uses none) and
+    ``extras``."""
+    resolved = {"command": command, "features": asdict(features), **extras}
     if ranges is not None:
         resolved["ranges"] = ranges.to_dict()
     _write_json(out.path("config_resolved.json"), resolved, sort_keys=True)
@@ -190,9 +191,9 @@ def _train(out: Outputs, ds, mcfg: ann.MLPConfig, tcfg: ann.TrainConfig):
 # ---- subcommands ----
 
 def cmd_gen(args, cfg: dict, out: Outputs) -> int:
-    ranges = resolve_ranges(cfg)
-    echo_config(out, "gen", cfg, {"n": args.n, "seed": args.seed}, ranges)
-    _, wall = _generate(out, args.n, args.seed, ranges, resolve_feature_cfg(cfg))
+    ranges, fcfg = resolve_ranges(cfg), resolve_feature_cfg(cfg)
+    echo_config(out, "gen", fcfg, {"n": args.n, "seed": args.seed}, ranges)
+    _, wall = _generate(out, args.n, args.seed, ranges, fcfg)
     print(f"generated {args.n} devices in {wall:.2f} s -> {out.out_dir / 'dataset.csv'}")
     return EXIT_OK
 
@@ -207,7 +208,7 @@ def cmd_train(args, cfg: dict, out: Outputs) -> int:
         seed_flag = cfg.get("seed")  # top-level seed as fallback
     tcfg = resolve_train_cfg(cfg, seed_flag=seed_flag)
     ds = dataset.load_dataset(data_path)
-    echo_config(out, "train", cfg, {
+    echo_config(out, "train", ds.feature_cfg, {
         "data": str(data_path),
         "mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed},
         "train": asdict(tcfg),
@@ -235,7 +236,7 @@ def _discover_devices(curves_dir: Path) -> list:
 
 def cmd_features(args, cfg: dict, out: Outputs) -> int:
     fcfg = resolve_feature_cfg(cfg)
-    echo_config(out, "features", cfg, {"curves": str(args.curves)})
+    echo_config(out, "features", fcfg, {"curves": str(args.curves)})
     lines = ["device," + ",".join(FEATURE_NAMES)]
     row_fmt = "%s" + ",%.17g" * len(FEATURE_NAMES)
     for name, directory in _discover_devices(args.curves):
@@ -249,13 +250,12 @@ def cmd_features(args, cfg: dict, out: Outputs) -> int:
 
 
 def cmd_extract(args, cfg: dict, out: Outputs) -> int:
-    fcfg = resolve_feature_cfg(cfg)
     w, norm, _ = ann.load_model(args.model)
-    echo_config(out, "extract", cfg, {"curves": str(args.curves), "model": str(args.model)},
-                norm.param_ranges)
+    echo_config(out, "extract", norm.feature_cfg,
+                {"curves": str(args.curves), "model": str(args.model)}, norm.param_ranges)
     cs = curve_io.read_curveset_dir(args.curves)
     with _naming(args.curves):
-        fv = featurize(cs, fcfg)
+        fv = featurize(cs, norm.feature_cfg)
     params = ann.predict_params(w, norm, fv)
     _write_json(out.path("params.json"), params.to_dict())
     print(f"extracted 14 parameters -> {out.out_dir / 'params.json'}")
@@ -297,16 +297,15 @@ def _report_rows(report, target) -> list:
 def cmd_verify(args, cfg: dict, out: Outputs) -> int:
     if args.variability and not args.params:
         raise ConfigError("--variability needs --params (true base parameters)")
-    fcfg = resolve_feature_cfg(cfg)
     w, norm, _ = ann.load_model(args.model)
-    echo_config(out, "verify", cfg, {
+    echo_config(out, "verify", norm.feature_cfg, {
         "curves": str(args.curves) if args.curves else None,
         "params": str(args.params) if args.params else None,
         "model": str(args.model), "variability": bool(args.variability),
     }, norm.param_ranges)
     if args.variability:
         base = read_params_file(args.params)
-        reports = verify.variability_suite(base, w, norm, cfg=fcfg)
+        reports = verify.variability_suite(base, w, norm)
         doc = {
             "reports": [r.to_dict() for r in reports],
             "average_rms_percent": verify.aggregate_curve_errors(reports),
@@ -326,7 +325,7 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
         true_params = None
         target = curve_io.read_curveset_dir(args.curves)
     with _naming(args.curves):
-        report = verify.round_trip(target, w, norm, true_params=true_params, cfg=fcfg)
+        report = verify.round_trip(target, w, norm, true_params=true_params)
     _write_json(out.path("report.json"), report.to_dict())
     rows = _report_rows(report, target)
     if true_params is not None:  # the output-characteristic family
@@ -342,12 +341,12 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
 
 
 def cmd_demo(args, cfg: dict, out: Outputs) -> int:
-    ranges = resolve_ranges(cfg)
-    echo_config(out, "demo", cfg, {
+    require_int("--devices", args.devices, minimum=1)
+    ranges, fcfg = resolve_ranges(cfg), resolve_feature_cfg(cfg)
+    echo_config(out, "demo", fcfg, {
         "n": args.n, "devices": args.devices,
         "gen_seed": DEMO_GEN_SEED, "train_seed": DEMO_TRAIN_SEED,
     }, ranges)
-    fcfg = resolve_feature_cfg(cfg)
     mcfg = resolve_mlp_cfg(cfg)
     tcfg = resolve_train_cfg(cfg, seed_flag=DEMO_TRAIN_SEED)
 
@@ -361,10 +360,10 @@ def cmd_demo(args, cfg: dict, out: Outputs) -> int:
           f"best val loss {history.meta['best_val_loss']:.3e}")
 
     print(f"[3/4] round-tripping {args.devices} held-out devices")
-    _, medians = verify.holdout_round_trip(ds, norm, w, n_devices=args.devices, cfg=fcfg)
+    _, medians = verify.holdout_round_trip(ds, norm, w, n_devices=args.devices)
 
     print("[4/4] variability suite on the reference device")
-    var_reports = verify.variability_suite(REFERENCE_PARAMS, w, norm, cfg=fcfg)
+    var_reports = verify.variability_suite(REFERENCE_PARAMS, w, norm)
     var_avg = verify.aggregate_curve_errors(var_reports[1:])  # the four knob settings
 
     checks = [(f"median {label}", medians[label], limit)

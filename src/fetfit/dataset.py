@@ -2,7 +2,10 @@
 
 Samples parameter sets, simulates and featurizes the devices, splits the
 rows 80/10/10, and persists everything as a single CSV with a JSON metadata
-line. Given (n, seed, ranges) the output bytes are fully deterministic.
+line. Given (n, seed, ranges, feature settings) the output bytes are fully
+deterministic. The feature settings that made a corpus travel with it: the
+meta line records them, and the normalizer fit on it hands them on to the
+model.
 
 Generation is batch-first: the parameters are drawn as one (n, 14) block,
 and the devices are simulated and featurized a block of ``GEN_BLOCK`` rows
@@ -16,8 +19,9 @@ from __future__ import annotations
 
 import json
 import logging
+import reprlib
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 # numpy imports its random module on first use, about 14 ms; load it with the
@@ -85,13 +89,16 @@ def sample_params(ranges: ParamRanges, rng: np.random.Generator, size: int | Non
 @dataclass
 class Dataset:
     """Feature matrix X (N x 24), parameter matrix Y (N x 14), split labels,
-    and the provenance needed to regenerate it."""
+    and the provenance needed to regenerate it: the seed, the sampling
+    ranges and the feature settings that made X (the default settings if
+    not given)."""
 
     X: np.ndarray
     Y: np.ndarray
     split: np.ndarray  # array of "train" / "val" / "test" strings
     seed: int
     ranges: ParamRanges
+    feature_cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG
 
     def __post_init__(self):
         if self.X.shape[0] != self.Y.shape[0] or self.X.shape[0] != len(self.split):
@@ -111,8 +118,10 @@ def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
                   feature_cfg: FeatureConfig | None = None) -> Dataset:
     """Generate n devices from one seeded stream: the parameters first, as
     one block, then one simulate and one featurize call per ``GEN_BLOCK``
-    devices. If featurization fails, the DataError names the first failing
-    device's parameters and reason, and counts the failing devices."""
+    devices, with ``feature_cfg`` (default settings if None), which the
+    dataset keeps as ``feature_cfg``. If featurization fails, the DataError
+    names the first failing device's parameters and reason, and counts the
+    failing devices."""
     if ranges is None:
         ranges = DEFAULT_RANGES
     if feature_cfg is None:
@@ -150,13 +159,16 @@ def build_dataset(n: int, seed: int, ranges: ParamRanges | None = None,
     split[perm[n_train:n_train + n_val]] = "val"
     split[perm[n_train + n_val:]] = "test"
     log.info("generated %d devices in %.2f s", n, time.perf_counter() - t0)
-    return Dataset(X=X, Y=Y, split=split, seed=seed, ranges=ranges)
+    return Dataset(X=X, Y=Y, split=split, seed=seed, ranges=ranges, feature_cfg=feature_cfg)
 
 
 @dataclass
 class Normalizer:
-    """Feature z-score statistics (fit on the training split only) plus the
-    parameter bounds used for min-max target mapping.
+    """Feature z-score statistics (fit on the training split only), the
+    parameter bounds used for min-max target mapping, and the feature
+    settings that made the features (``feature_cfg``, the default settings
+    if not given): a model featurizes its input curves with these
+    settings, since its weights were fit to them.
 
     The constructor takes each statistic as an array or nested lists and
     checks that it holds finite numbers of the right shape, with
@@ -167,6 +179,7 @@ class Normalizer:
     feat_std: np.ndarray
     param_lo: np.ndarray
     param_hi: np.ndarray
+    feature_cfg: FeatureConfig = DEFAULT_FEATURE_CONFIG
 
     def __post_init__(self):
         for name, size in (("feat_mean", len(FEATURE_NAMES)), ("feat_std", len(FEATURE_NAMES)),
@@ -198,6 +211,7 @@ class Normalizer:
             "feat_std": self.feat_std.tolist(),
             "param_lo": self.param_lo.tolist(),
             "param_hi": self.param_hi.tolist(),
+            "features": asdict(self.feature_cfg),
         }
 
     @classmethod
@@ -207,12 +221,28 @@ class Normalizer:
         if list(d.get("param_names", [])) != list(PARAM_NAMES):
             raise DataError("normalizer parameter names do not match this build")
         return cls(feat_mean=d["feat_mean"], feat_std=d["feat_std"],
-                   param_lo=d["param_lo"], param_hi=d["param_hi"])
+                   param_lo=d["param_lo"], param_hi=d["param_hi"],
+                   feature_cfg=_read_feature_cfg(d.get("features")))
+
+
+def _read_feature_cfg(doc) -> FeatureConfig:
+    """The settings of a ``features`` object as ``asdict`` writes them: an
+    object holding every ``FeatureConfig`` field and no other key, its
+    values checked by the constructor. Anything else raises DataError."""
+    names = [f.name for f in fields(FeatureConfig)]
+    if not isinstance(doc, dict) or doc.keys() != set(names):
+        raise DataError(f"features must be an object holding exactly {', '.join(names)}, "
+                        f"got {reprlib.repr(doc)}")
+    try:
+        return FeatureConfig(**doc)
+    except (ConfigError, ValueError) as exc:
+        raise DataError(f"features: {exc}") from exc
 
 
 def fit_normalizer(ds: Dataset) -> Normalizer:
     """Fit feature statistics on the training split; parameter bounds come
-    from the dataset's sampling ranges."""
+    from the dataset's sampling ranges, feature settings from the
+    dataset's."""
     ds.ranges.require_nondegenerate()
     train = ds.indices("train")
     if len(train) == 0:
@@ -224,8 +254,8 @@ def fit_normalizer(ds: Dataset) -> Normalizer:
     if len(zero):
         names = [FEATURE_NAMES[i] for i in zero]
         raise ConfigError(f"zero-variance feature columns: {names}")
-    return Normalizer(feat_mean=mean, feat_std=std,
-                      param_lo=ds.ranges.lo_vector(), param_hi=ds.ranges.hi_vector())
+    return Normalizer(feat_mean=mean, feat_std=std, param_lo=ds.ranges.lo_vector(),
+                      param_hi=ds.ranges.hi_vector(), feature_cfg=ds.feature_cfg)
 
 
 def save_dataset(ds: Dataset, path):
@@ -236,6 +266,7 @@ def save_dataset(ds: Dataset, path):
         "n": ds.n,
         "rng": RNG_ALGORITHM,
         "ranges": ds.ranges.to_dict(),
+        "features": asdict(ds.feature_cfg),
         "log_uniform": sorted(LOG_UNIFORM_PARAMS),
     }
     cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
@@ -252,6 +283,10 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset CSV. The meta line must give the seed, the sampling
+    ranges, the feature settings and ``n``, the number of data rows, so a
+    file cut short is rejected. Anything malformed raises a DataError
+    naming the file."""
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("# meta "):
         raise DataError(f"{path}: missing '# meta' header line")
@@ -260,8 +295,10 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{path}: the meta line must hold a ranges object")
     try:
         require_int("seed", meta.get("seed"), minimum=0)
+        require_int("n", meta.get("n"), minimum=1)
         ranges = ParamRanges.from_dict(meta["ranges"])
-    except ConfigError as exc:
+        feature_cfg = _read_feature_cfg(meta.get("features"))
+    except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: bad meta line: {exc}") from exc
     expected_cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     if len(lines) < 2 or lines[1].split(",") != expected_cols:
@@ -273,6 +310,9 @@ def load_dataset(path) -> Dataset:
     for ln_no, line in enumerate(body, start=3):
         if line.count(",") != n_cells - 1:
             raise DataError(f"{path}:{ln_no}: expected {n_cells} cells")
+    if len(body) != meta["n"]:
+        raise DataError(f"{path}: the meta line gives n = {reprlib.repr(meta['n'])}, "
+                        f"but the file holds {len(body)} data rows")
     split = np.array([line[line.rindex(",") + 1:] for line in body], dtype=object)
     bad = np.nonzero(~np.isin(split, SPLIT_LABELS))[0]
     if len(bad):
@@ -286,8 +326,8 @@ def load_dataset(path) -> Dataset:
     if len(bad):
         raise DataError(f"{path}:{bad[0] + 3}: non-finite cell")
     n_feat = len(FEATURE_NAMES)
-    return Dataset(
-        X=vals[:, :n_feat], Y=vals[:, n_feat:], split=split, seed=meta["seed"], ranges=ranges)
+    return Dataset(X=vals[:, :n_feat], Y=vals[:, n_feat:], split=split, seed=meta["seed"],
+                   ranges=ranges, feature_cfg=feature_cfg)
 
 
 def _unparsable_cell(path, body, exc: ValueError) -> DataError:

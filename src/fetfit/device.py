@@ -109,8 +109,8 @@ class Curve:
 
     The constructor requires at least 2 points, puts an ``x`` within
     ``GRID_TOL_V`` of a default sweep on that read-only sweep, and checks
-    any other ``x`` for being strictly increasing and uniform; ``y`` must be
-    finite and, for Ids and Cgg, strictly positive. Curves made by
+    any other ``x`` for being finite, strictly increasing and uniform; ``y``
+    must be finite and, for Ids and Cgg, strictly positive. Curves made by
     ``simulate_curveset`` and ``differentiate`` check ``y`` only, because
     their ``x`` is a module sweep or the ``x`` of an existing curve.
     """
@@ -133,6 +133,8 @@ class Curve:
         if sweep is not None:
             self.x = sweep
         else:
+            if not np.isfinite(self.x).all():  # NaN passes both grid checks below
+                raise ValueError("x contains non-finite values")
             dx = np.diff(self.x)
             if np.any(dx <= 0):
                 raise ValueError("x must be strictly increasing")

@@ -32,7 +32,7 @@ from .ann import MLPWeights, predict_params
 from .dataset import Normalizer
 from .device import (Curve, CurveKind, CurveSet, ProcessKnobs, _Params, _simulate, apply_knobs,
                      simulate_curveset)
-from .errors import DataError
+from .errors import DataError, require_int
 from .features import DEFAULT_FEATURE_CONFIG, FeatureConfig, featurize
 from .params import CGG_MARGIN_FF, I_CGGMAX, I_CGGMIN, PARAM_NAMES, ModelParams, ParamRanges
 
@@ -203,24 +203,22 @@ def round_trip_from_params(target: CurveSet, predicted: ModelParams,
 
 
 def round_trip(target: CurveSet, w: MLPWeights, norm: Normalizer,
-               true_params: ModelParams | None = None,
-               cfg: FeatureConfig | None = None) -> VerifyReport:
-    """Featurize the target, predict parameters within the model's box,
-    resimulate, and score."""
-    if cfg is None:
-        cfg = DEFAULT_FEATURE_CONFIG
+               true_params: ModelParams | None = None) -> VerifyReport:
+    """Featurize the target with the model's feature settings
+    (``norm.feature_cfg``), predict parameters within the model's box
+    (``norm.param_ranges``), resimulate, and score, the subthreshold window
+    at the model's ``i_crit``."""
     t0 = time.perf_counter()
-    fv = featurize(target, cfg)
+    fv = featurize(target, norm.feature_cfg)
     predicted = predict_params(w, norm, fv)
     extract_seconds = time.perf_counter() - t0
     report = round_trip_from_params(target, predicted, true_params=true_params,
-                                    cfg=cfg, ranges=norm.param_ranges)
+                                    cfg=norm.feature_cfg, ranges=norm.param_ranges)
     report.extract_seconds = extract_seconds
     return report
 
 
-def variability_suite(base_params: ModelParams, w: MLPWeights, norm: Normalizer,
-                      cfg: FeatureConfig | None = None) -> list:
+def variability_suite(base_params: ModelParams, w: MLPWeights, norm: Normalizer) -> list:
     """Baseline plus the four single-knob perturbations of the base device.
     Each target is simulated from the knobbed parameters, applied within the
     model's box, and round-tripped."""
@@ -229,7 +227,7 @@ def variability_suite(base_params: ModelParams, w: MLPWeights, norm: Normalizer,
         p = apply_knobs(base_params, knobs, ranges=norm.param_ranges) \
             if (knobs.lg_scale, knobs.eot_scale) != (1.0, 1.0) else base_params
         target = simulate_curveset(p)
-        report = round_trip(target, w, norm, true_params=p, cfg=cfg)
+        report = round_trip(target, w, norm, true_params=p)
         report.knobs = (knobs.lg_scale, knobs.eot_scale)
         reports.append(report)
     return reports
@@ -243,20 +241,21 @@ def aggregate_curve_errors(reports: list) -> dict:
     }
 
 
-def holdout_round_trip(ds, norm: Normalizer, w: MLPWeights, n_devices: int = 200,
-                       cfg: FeatureConfig | None = None):
-    """Round-trip the first ``n_devices`` test-split devices of a dataset.
+def holdout_round_trip(ds, norm: Normalizer, w: MLPWeights, n_devices: int = 200):
+    """Round-trip the first ``n_devices`` (an int >= 1) test-split devices
+    of a dataset.
 
     Returns (reports, medians) where medians holds the per-curve median
     rms_percent plus the subthreshold medians keyed sub_low / sub_high.
     """
+    require_int("n_devices", n_devices, minimum=1)
     idx = ds.indices("test")[:n_devices]
     if len(idx) < n_devices:
         raise DataError(f"dataset has only {len(idx)} test devices, need {n_devices}")
     reports = []
     for i in idx:
         p = ModelParams.from_vector(ds.Y[i])
-        reports.append(round_trip(simulate_curveset(p), w, norm, true_params=p, cfg=cfg))
+        reports.append(round_trip(simulate_curveset(p), w, norm, true_params=p))
     medians = {
         label: float(np.median([r.error(label).rms_percent for r in reports]))
         for label in REPORT_CURVES

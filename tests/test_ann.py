@@ -28,6 +28,7 @@ from fetfit.ann import (
 )
 from fetfit.dataset import Dataset, Normalizer, build_dataset, fit_normalizer
 from fetfit.errors import ConfigError, DataError, InvalidParameterError
+from fetfit.features import FeatureConfig
 from fetfit.params import DEFAULT_RANGES, PARAM_NAMES, ModelParams, ParamRanges
 
 from ._non_numbers import NON_NUMBERS
@@ -462,6 +463,7 @@ def test_model_save_load_bit_exact(tmp_path):
     save_model(path, w, norm, mcfg)
     w2, norm2, mcfg2 = load_model(path)
     assert mcfg2 == mcfg
+    assert norm2.feature_cfg == norm.feature_cfg == FeatureConfig()
     fv = ds.X[0]
     assert predict_params(w, norm, fv) == predict_params(w2, norm2, fv)
     for a, b in zip(w.W + w.b, w2.W + w2.b):
@@ -502,8 +504,9 @@ def test_model_save_and_load_log_bytes_and_time_at_debug(tmp_path, caplog):
 
 
 # sha256 of save_model's bytes for the model below; pins the model file
-# format (recorded when version 2 stored the weights as base64 float64 bytes).
-GOLDEN_MODEL_SHA256 = "f9ca43ada5d3990c4ad3001856a883154f475e4fe1aded2b06161083b560e6ed"
+# format (recorded when version 3 added the feature settings to the
+# normalizer; version 2 stored the weights as base64 float64 bytes).
+GOLDEN_MODEL_SHA256 = "f183baec41a4d728db8a1778bd1525b0e041df448581171630518b4a34a9a30b"
 
 
 def test_model_bytes_golden(tmp_path):

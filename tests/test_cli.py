@@ -273,6 +273,25 @@ def test_demo_exit_code_contract(tmp_path):
     assert any(not c["pass"] for c in summary["checks"])
 
 
+@pytest.mark.parametrize("devices", [-5, 0])
+def test_demo_rejects_a_device_count_below_1(tmp_path, capsys, devices):
+    out = tmp_path / "demo"
+    assert main(["demo", "--n", "300", "--devices", str(devices), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"fetfit: error: ConfigError: --devices must be >= 1, got {devices}\n")
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_non_finite_x_cell_exits_3_naming_the_file(tmp_path, capsys):
+    device = tmp_path / "device0"
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS), device)
+    path = device / "ids_vgs_low.csv"
+    _rewrite_x(path, ["%.17g" % v for v in IV_X[:5]] + ["nan"] + ["%.17g" % v for v in IV_X[6:]])
+    assert main(["features", "--curves", str(device), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (
+        f"fetfit: error: DataError: {path}: x contains non-finite values\n")
+
+
 def test_missing_file_exits_3(tmp_path):
     code = main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
     assert code == 3
@@ -512,6 +531,29 @@ def test_echo_bytes_golden(tmp_path, monkeypatch):
     assert hashlib.sha256(meta.encode()).hexdigest() == golden(HISTORY_META_SHA256,
                                                                "history meta digest")
 
+    # the feature settings travel with the corpus and the model: train
+    # echoes the dataset's, and extract and verify featurize with the
+    # model's and echo them, whatever their --config holds
+    Path("fast.json").write_text(json.dumps(FAST_TRAIN))
+    assert main(["train", "--data", "gen/dataset.csv", "--out", "train-fast",
+                 "--config", "fast.json"]) == 0
+    write_curveset_dir(simulate_curveset(REFERENCE_PARAMS.replace(PHIG=4.43)), "device0")
+    model = ["--model", "train/model.json"]
+    for name, argv, output in (
+            ("extract", ["extract", "--curves", "device0", *model], "params.json"),
+            ("verify-curves", ["verify", "--curves", "device0", *model], "report.json"),
+            ("verify", runs["verify"], "report.json")):
+        if name != "verify":  # run with the config above
+            assert main(argv + ["--out", name, "--config", "cfg.json"]) == 0
+        assert main(argv + ["--out", f"{name}-bare"]) == 0
+        with_cfg, bare = (json.loads(Path(d, output).read_text()) for d in (name, f"{name}-bare"))
+        for doc in (with_cfg, bare):
+            doc.pop("extract_seconds", None)  # a wall time
+        assert bare == with_cfg, name
+    for name in ("train-fast", "extract-bare", "verify-curves-bare", "verify-bare"):
+        resolved = json.loads(Path(name, "config_resolved.json").read_text())
+        assert resolved["features"] == {"i_crit": 1.5e-7, "ss_lo": 3e-9, "ss_hi": 3e-8}, name
+
 
 def test_extract_and_verify_clip_to_the_model_box(tmp_path):
     """A model trained on wider ranges than the defaults: verify --curves
@@ -585,6 +627,16 @@ MALFORMED_MODEL = "malformed model file: "
     (lambda doc: doc["mlp"]["widths"].__setitem__(1, 5000), MALFORMED_MODEL,
      "layer width must be <= 4096"),
     (lambda doc: doc.__setitem__("version", 1), "model version 1 unsupported", "retrain"),
+    # a version-2 file holds no feature settings
+    (lambda doc: doc.__setitem__("version", 2), "model version 2 unsupported", "retrain"),
+    (lambda doc: doc["normalizer"].pop("features"), MALFORMED_MODEL,
+     "features must be an object holding exactly i_crit, ss_lo, ss_hi, got None"),
+    (lambda doc: doc["normalizer"]["features"].__setitem__("ss_lo", 4e-8), MALFORMED_MODEL,
+     "need 0 < ss_lo < ss_hi"),
+    (lambda doc: doc["normalizer"]["features"].__setitem__("i_crit", "1e-7"), MALFORMED_MODEL,
+     "i_crit must be a number, got '1e-7'"),
+    (lambda doc: doc["normalizer"]["features"].__setitem__("i_crit_v", 0.3), MALFORMED_MODEL,
+     "features must be an object holding exactly"),
     # tracebacks before the file was read with errors.read_json
     (lambda doc: doc["normalizer"]["feat_mean"].__setitem__(0, NON_NUMBERS["5000-digit-int"]),
      UNPARSABLE, "more than 4300 digits"),
@@ -593,6 +645,7 @@ MALFORMED_MODEL = "malformed model file: "
 ], ids=["23-feat-mean", "13-param-lo", "ioff0-lo-zero", "nan-feat-std", "feature-names",
         "string-feat-mean", "nan-weight", "string-bias", "huge-int-bias", "list-bias",
         "cut-base64", "short-bias", "inf-weights", "width-over-bound", "version-1",
+        "version-2", "no-features", "ss-lo-over-ss-hi", "string-i-crit", "unknown-feature-key",
         "5000-digit-int", "deep-nest"])
 def test_malformed_model_normalizer_exits_3(tmp_path, capsys, trained_dirs, edit, start, field):
     """start: how the message goes on after the file name; field: what
@@ -651,9 +704,16 @@ def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value, na
     lambda meta: {**meta, "ranges": {**meta["ranges"],
                                      "PHIG": [NON_NUMBERS["5000-digit-int"], 4.6]}},
     lambda meta: {**meta, "ranges": {**meta["ranges"], "PHIG": NON_NUMBERS["deep-nest"]}},
+    lambda meta: {k: v for k, v in meta.items() if k != "features"},
+    lambda meta: {**meta, "features": {**meta["features"], "ss_lo": 4e-8}},
+    lambda meta: {**meta, "features": {**meta["features"], "i_crit": "1e-7"}},
+    lambda meta: {**meta, "features": {**meta["features"], "i_crit_v": 0.3}},
+    lambda meta: {k: v for k, v in meta.items() if k != "n"},
+    lambda meta: {**meta, "n": meta["n"] + 1},
 ], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object",
         "object-range", "digit-string-range", "triple-range", "bool-range", "string-pair-range",
-        "huge-int-range", "5000-digit-int-range", "deep-nest-range"])
+        "huge-int-range", "5000-digit-int-range", "deep-nest-range", "no-features",
+        "ss-lo-over-ss-hi", "string-i-crit", "unknown-feature-key", "no-n", "n-past-the-rows"])
 def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
     meta_line, *rest = (trained_dirs[0] / "dataset.csv").read_text().splitlines()
     data, out = tmp_path / "dataset.csv", tmp_path / "out"

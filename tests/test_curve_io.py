@@ -184,6 +184,8 @@ REJECTED_CASES = {
     "no-rows": ("IdsVgs", _rows(lambda rows: [" "])),
     "non-positive-ids": ("IdsVgs", _set_row(2, "0.02,-1e-10")),
     "nan-cell": ("CggVgs", _set_row(2, "0.02,nan")),
+    "nan-x": ("IdsVgs", _set_row(2, "nan,1e-10")),
+    "all-nan-x": ("IdsVgs", _rows(lambda rows: ["nan," + r.split(",")[1] for r in rows])),
     "non-uniform-grid": ("IdsVgs", _set_row(40, "0.4001,1e-7")),
     "decreasing-grid": ("IdsVgs", _set_row(1, "-0.5,1e-10")),
 }

@@ -30,10 +30,11 @@ from ._sampling import draw_sequential
 # sha256 of the n=100, seed=1 dataset CSV per CPU dispatch family, recorded
 # after the first oracle-validated run (self-consistency pin for this
 # implementation); the X86_V3 entry was recorded on an AVX-512 host with
-# the AVX-512 loops disabled.
+# the AVX-512 loops disabled. Re-recorded when the meta line gained the
+# feature settings; the rows kept their bytes.
 GOLDEN_DATASET_SHA256 = {
-    "X86_V4": "7ae6b8782ef757f31d8e3b6a68d26198b4e7da2aa08d7ad7521813aa57ba4506",
-    "X86_V3": "de9d30c2eafb0aec90e9e2c30bfeb932a0cfdc1a7436b669142111770103e4b3",
+    "X86_V4": "64f52369afae6d0b93bf002484ddb9e94da55d8d1727362d9567e0c1d3ec3b14",
+    "X86_V3": "f2720008d6b12cf098bb51d4d2761178b49c6018e18f1f0d6390220bdf371322",
 }
 
 
@@ -186,7 +187,11 @@ def test_fit_normalizer_zero_variance_errors():
 
 
 def test_save_load_round_trip(tmp_path):
-    ds = build_dataset(100, seed=14)
+    """The feature settings travel with the corpus and on to its normalizer."""
+    fcfg = FeatureConfig(i_crit=1.5e-7, ss_lo=4e-9)
+    ds = build_dataset(100, seed=14, feature_cfg=fcfg)
+    assert np.array_equal(ds.X[0], featurize(simulate_curveset(ModelParams.from_vector(ds.Y[0])),
+                                             fcfg))
     path = tmp_path / "ds.csv"
     save_dataset(ds, path)
     back = load_dataset(path)
@@ -195,8 +200,13 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.split, ds.split)
     assert back.seed == ds.seed
     assert back.ranges.to_dict() == ds.ranges.to_dict()
+    assert back.feature_cfg == ds.feature_cfg == fcfg
+    norm = fit_normalizer(back)
+    assert norm.feature_cfg == Normalizer.from_dict(norm.to_dict()).feature_cfg == fcfg
     # file layout: meta line + header + n rows
     lines = path.read_text().splitlines()
+    assert json.loads(lines[0][len("# meta "):])["features"] == {
+        "i_crit": 1.5e-7, "ss_lo": 4e-9, "ss_hi": 3e-8}
     assert len(lines) == 100 + 2
     assert lines[1].split(",") == list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
 
@@ -220,9 +230,11 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(DataError):
         load_dataset(nan_cell)
 
-    # a meta line that is not an object, or with a bad seed or ranges, names the file
+    # a meta line that is not an object, or with a bad seed, n, ranges or
+    # feature settings, names the file
     meta = json.loads(text.splitlines()[0][len("# meta "):])
     inverted = {**meta["ranges"], "PHIG": [4.6, 4.3]}
+    features = meta["features"]
     for i, bad_meta in enumerate([
         {k: v for k, v in meta.items() if k != "seed"},
         {**meta, "seed": "x"},
@@ -235,11 +247,29 @@ def test_load_rejects_malformed(tmp_path):
         {**meta, "ranges": inverted},
         {k: v for k, v in meta.items() if k != "ranges"},
         [],
+        {k: v for k, v in meta.items() if k != "features"},
+        {**meta, "features": []},
+        {**meta, "features": {k: v for k, v in features.items() if k != "i_crit"}},
+        {**meta, "features": {**features, "ss_lo": 4e-8}},  # ss_lo > ss_hi
+        {**meta, "features": {**features, "i_crit": "1e-7"}},
+        {**meta, "features": {**features, "i_crit_v": 0.3}},
+        {k: v for k, v in meta.items() if k != "n"},
+        {**meta, "n": 100.0},
+        {**meta, "n": 0},
+        {**meta, "n": 101},  # a row more than the file holds
+        {**meta, "n": 99},
     ]):
         path = tmp_path / f"meta{i}.csv"
         path.write_text("\n".join(["# meta " + json.dumps(bad_meta)] + text.splitlines()[1:]))
-        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*meta line"):
             load_dataset(path)
+
+    # a body cut at a row boundary, as a killed writer leaves it
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(text.splitlines()[:-3]) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(short))}: the meta line gives "
+                                        "n = 100, but the file holds 97 data rows$"):
+        load_dataset(short)
 
 
 def dataset_digest(tmp_path) -> str:
@@ -256,6 +286,8 @@ def save_dataset_by_row(ds, path):
     """The row-by-row writer, kept as the reference for the bytes that
     ``save_dataset`` writes a chunk of rows at a time."""
     meta = {"seed": ds.seed, "n": ds.n, "rng": RNG_ALGORITHM, "ranges": ds.ranges.to_dict(),
+            "features": {"i_crit": ds.feature_cfg.i_crit, "ss_lo": ds.feature_cfg.ss_lo,
+                         "ss_hi": ds.feature_cfg.ss_hi},
             "log_uniform": sorted(LOG_UNIFORM_PARAMS)}
     cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     lines = ["# meta " + json.dumps(meta, sort_keys=True), ",".join(cols)]

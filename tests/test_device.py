@@ -344,6 +344,10 @@ def test_curve_validation():
         Curve(CurveKind.IDS_VGS, [0.0, 0.01, 0.02], [1e-9, -1e-9, 1e-9], vds=0.05)  # negative Ids
     with pytest.raises(ValueError):
         Curve(CurveKind.IDS_VGS, [0.0, 0.01], [1e-9, float("inf")], vds=0.05)
+    # NaN passes both grid comparisons, so x is checked for being finite
+    for x in ([0.0, float("nan"), 0.02], [float("nan")] * 3, [0.0, 0.01, float("inf")]):
+        with pytest.raises(ValueError, match="^x contains non-finite values$"):
+            Curve(CurveKind.IDS_VGS, x, [1e-9, 2e-9, 3e-9], vds=0.05)
 
 
 # sha256 of the kernels' outputs below per CPU dispatch family, recorded

@@ -10,14 +10,16 @@ import pytest
 import fetfit.verify
 from fetfit.dataset import build_dataset, fit_normalizer
 from fetfit.device import IV_X, Curve, CurveKind, simulate_curveset
-from fetfit.errors import DataError, InvalidParameterError
-from fetfit.ann import MLPConfig, TrainConfig, train
+from fetfit.errors import ConfigError, DataError, InvalidParameterError
+from fetfit.ann import MLPConfig, TrainConfig, predict_params, train
+from fetfit.features import FeatureConfig, featurize
 from fetfit.params import DEFAULT_RANGES, REFERENCE_PARAMS, ModelParams, ParamRanges
 from fetfit.verify import (
     REPORT_CURVES,
     aggregate_curve_errors,
     direct_fit,
     direct_fit_objective,
+    holdout_round_trip,
     rms_percent,
     round_trip,
     round_trip_from_params,
@@ -125,6 +127,30 @@ def test_round_trip_pipeline_produces_finite_errors(small_model):
         assert np.isfinite(ce.rms_percent) and ce.rms_percent >= 0
     assert report.extract_seconds is not None and report.extract_seconds > 0
     assert DEFAULT_RANGES.contains(report.predicted)
+
+
+def test_round_trip_featurizes_with_the_model_settings(small_model):
+    """round_trip takes its feature settings from the normalizer, for the
+    features and for the subthreshold window alike."""
+    ds, norm, w = small_model
+    fcfg = FeatureConfig(i_crit=1.5e-7)
+    norm2 = dataclasses.replace(norm, feature_cfg=fcfg)
+    target = simulate_curveset(REFERENCE_PARAMS)
+    report = round_trip(target, w, norm2, true_params=REFERENCE_PARAMS)
+    assert report.predicted == predict_params(w, norm2, featurize(target, fcfg))
+    assert report.predicted != round_trip(target, w, norm).predicted
+    want = round_trip_from_params(target, report.predicted, true_params=REFERENCE_PARAMS,
+                                  cfg=fcfg, ranges=norm.param_ranges)
+    report.extract_seconds = None
+    assert report.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("n_devices", [-5, 0, 2.0])
+def test_holdout_round_trip_rejects_a_device_count_that_is_not_an_int_from_1(small_model,
+                                                                               n_devices):
+    ds, norm, w = small_model
+    with pytest.raises(ConfigError, match="^n_devices must be"):
+        holdout_round_trip(ds, norm, w, n_devices=n_devices)
 
 
 def test_variability_suite_identity_knob_matches_baseline(small_model):
