@@ -4,6 +4,11 @@ Subcommands: gen, train, features, extract, verify, demo. Every command
 writes only inside its --out directory and echoes the fully resolved
 configuration there; partially written outputs are removed on failure.
 
+Each setting is read from one place. gen, train, features and demo take a
+--config file whose only top-level keys are its sections (ranges, features,
+mlp, train); train's --seed overrides train.seed. extract and verify take
+no config: the model file holds their feature settings and their box.
+
 Exit codes: 0 success, 2 usage error, 3 data/config error, 4 demo
 acceptance failure.
 """
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 import time
 from contextlib import contextmanager
@@ -35,14 +41,13 @@ DEMO_TRAIN_SEED = 202
 DEMO_N = 25000
 DEMO_DEVICES = 200
 
-#: Config sections, each a JSON object; the one other top-level key is ``seed``.
-_CONFIG_SECTIONS = ("ranges", "features", "mlp", "train", "paths")
+#: Config sections, each a JSON object, and the only top-level keys.
+_CONFIG_SECTIONS = ("ranges", "features", "mlp", "train")
 #: Config keys that name a settings field differently.
 _ALIASES = {"refine": "refine_factors"}
 _FEATURE_KEYS = {f.name for f in fields(FeatureConfig)}
 _MLP_KEYS = {"hidden", "seed"}
 _TRAIN_KEYS = {f.name for f in fields(ann.TrainConfig)} - set(_ALIASES.values()) | set(_ALIASES)
-_PATH_KEYS = {"dataset"}
 
 
 class Outputs:
@@ -73,20 +78,16 @@ def load_config(path) -> dict:
         return {}
     cfg = read_json(path, ConfigError)
     for key, value in cfg.items():
-        if key == "seed":
-            continue  # checked with the sections below
         if key not in _CONFIG_SECTIONS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: {key} must be dict")
     for section, allowed in (("features", _FEATURE_KEYS), ("mlp", _MLP_KEYS),
-                             ("train", _TRAIN_KEYS), ("paths", _PATH_KEYS)):
+                             ("train", _TRAIN_KEYS)):
         for k in cfg.get(section, {}):
             if k not in allowed:
                 raise ConfigError(f"{path}: unknown key {section}.{k!r}")
     try:  # every section is checked here, where the error can name the file
-        with _config_section("seed"):
-            require_int("seed", cfg.get("seed", 0), minimum=0)
         resolve_ranges(cfg), resolve_feature_cfg(cfg), resolve_mlp_cfg(cfg), resolve_train_cfg(cfg)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -118,15 +119,25 @@ def resolve_feature_cfg(cfg: dict) -> FeatureConfig:
     return _settings(FeatureConfig, "features", cfg)
 
 
+def _require_array(section: dict, key: str):
+    """A list setting must be a JSON array: an object or a string would
+    read as a sequence, an empty one as no entries at all."""
+    if key in section and not isinstance(section[key], list):
+        raise ConfigError(f"{key} must be an array, got {reprlib.repr(section[key])}")
+
+
 def resolve_mlp_cfg(cfg: dict) -> ann.MLPConfig:
     section = cfg.get("mlp", {})
     with _config_section("mlp"):
+        _require_array(section, "hidden")
         hidden = section.get("hidden", ann.DEFAULT_HIDDEN)
         return ann.MLPConfig(widths=(len(FEATURE_NAMES), *hidden, len(PARAM_NAMES)),
                              seed=section.get("seed", 0))
 
 
 def resolve_train_cfg(cfg: dict, seed_flag=None) -> ann.TrainConfig:
+    with _config_section("train"):
+        _require_array(cfg.get("train", {}), "refine")
     tcfg = _settings(ann.TrainConfig, "train", cfg)
     return tcfg if seed_flag is None else replace(tcfg, seed=seed_flag)
 
@@ -140,6 +151,11 @@ def echo_config(out: Outputs, command: str, features: FeatureConfig, extras: dic
     if ranges is not None:
         resolved["ranges"] = ranges.to_dict()
     _write_json(out.path("config_resolved.json"), resolved, sort_keys=True)
+
+
+def _network_echo(mcfg: ann.MLPConfig, tcfg: ann.TrainConfig) -> dict:
+    """The echo of the network shape and the training settings."""
+    return {"mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed}, "train": asdict(tcfg)}
 
 
 def _write_json(path, doc, sort_keys=False):
@@ -190,29 +206,20 @@ def _train(out: Outputs, ds, mcfg: ann.MLPConfig, tcfg: ann.TrainConfig):
 
 # ---- subcommands ----
 
-def cmd_gen(args, cfg: dict, out: Outputs) -> int:
-    ranges, fcfg = resolve_ranges(cfg), resolve_feature_cfg(cfg)
+def cmd_gen(args, out: Outputs) -> int:
+    ranges, fcfg = resolve_ranges(args.config), resolve_feature_cfg(args.config)
     echo_config(out, "gen", fcfg, {"n": args.n, "seed": args.seed}, ranges)
     _, wall = _generate(out, args.n, args.seed, ranges, fcfg)
     print(f"generated {args.n} devices in {wall:.2f} s -> {out.out_dir / 'dataset.csv'}")
     return EXIT_OK
 
 
-def cmd_train(args, cfg: dict, out: Outputs) -> int:
-    data_path = args.data or cfg.get("paths", {}).get("dataset")
-    if not data_path:
-        raise ConfigError("no dataset: pass --data or set paths.dataset in the config")
-    mcfg = resolve_mlp_cfg(cfg)
-    seed_flag = args.seed
-    if seed_flag is None and "seed" not in cfg.get("train", {}):
-        seed_flag = cfg.get("seed")  # top-level seed as fallback
-    tcfg = resolve_train_cfg(cfg, seed_flag=seed_flag)
-    ds = dataset.load_dataset(data_path)
-    echo_config(out, "train", ds.feature_cfg, {
-        "data": str(data_path),
-        "mlp": {"widths": list(mcfg.widths), "seed": mcfg.seed},
-        "train": asdict(tcfg),
-    }, ds.ranges)
+def cmd_train(args, out: Outputs) -> int:
+    mcfg = resolve_mlp_cfg(args.config)
+    tcfg = resolve_train_cfg(args.config, seed_flag=args.seed)
+    ds = dataset.load_dataset(args.data)
+    echo_config(out, "train", ds.feature_cfg, {"data": args.data, **_network_echo(mcfg, tcfg)},
+                ds.ranges)
     _, _, history, wall = _train(out, ds, mcfg, tcfg)
     print(f"trained {history.meta['trained_epochs']} epochs in {wall:.2f} s; "
           f"best val loss {history.meta['best_val_loss']:.3e}")
@@ -234,8 +241,8 @@ def _discover_devices(curves_dir: Path) -> list:
     return devices
 
 
-def cmd_features(args, cfg: dict, out: Outputs) -> int:
-    fcfg = resolve_feature_cfg(cfg)
+def cmd_features(args, out: Outputs) -> int:
+    fcfg = resolve_feature_cfg(args.config)
     echo_config(out, "features", fcfg, {"curves": str(args.curves)})
     lines = ["device," + ",".join(FEATURE_NAMES)]
     row_fmt = "%s" + ",%.17g" * len(FEATURE_NAMES)
@@ -249,7 +256,7 @@ def cmd_features(args, cfg: dict, out: Outputs) -> int:
     return EXIT_OK
 
 
-def cmd_extract(args, cfg: dict, out: Outputs) -> int:
+def cmd_extract(args, out: Outputs) -> int:
     w, norm, _ = ann.load_model(args.model)
     echo_config(out, "extract", norm.feature_cfg,
                 {"curves": str(args.curves), "model": str(args.model)}, norm.param_ranges)
@@ -294,7 +301,7 @@ def _report_rows(report, target) -> list:
     return [(label, tgt, pred) for label, pred, tgt in verify._report_pairs(pred_cs, target)]
 
 
-def cmd_verify(args, cfg: dict, out: Outputs) -> int:
+def cmd_verify(args, out: Outputs) -> int:
     if args.variability and not args.params:
         raise ConfigError("--variability needs --params (true base parameters)")
     w, norm, _ = ann.load_model(args.model)
@@ -340,15 +347,14 @@ def cmd_verify(args, cfg: dict, out: Outputs) -> int:
     return EXIT_OK
 
 
-def cmd_demo(args, cfg: dict, out: Outputs) -> int:
+def cmd_demo(args, out: Outputs) -> int:
     require_int("--devices", args.devices, minimum=1)
-    ranges, fcfg = resolve_ranges(cfg), resolve_feature_cfg(cfg)
-    echo_config(out, "demo", fcfg, {
-        "n": args.n, "devices": args.devices,
-        "gen_seed": DEMO_GEN_SEED, "train_seed": DEMO_TRAIN_SEED,
-    }, ranges)
-    mcfg = resolve_mlp_cfg(cfg)
-    tcfg = resolve_train_cfg(cfg, seed_flag=DEMO_TRAIN_SEED)
+    ranges, fcfg = resolve_ranges(args.config), resolve_feature_cfg(args.config)
+    mcfg = resolve_mlp_cfg(args.config)
+    tcfg = resolve_train_cfg(args.config, seed_flag=DEMO_TRAIN_SEED)
+    echo_config(out, "demo", fcfg, {"n": args.n, "devices": args.devices,
+                                    "gen_seed": DEMO_GEN_SEED, **_network_echo(mcfg, tcfg)},
+                ranges)
 
     print(f"[1/4] generating {args.n} devices (seed {DEMO_GEN_SEED})")
     ds, gen_wall = _generate(out, args.n, DEMO_GEN_SEED, ranges, fcfg)
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train the parameter-extraction network")
-    p.add_argument("--data", help="dataset CSV from 'gen'")
+    p.add_argument("--data", required=True, help="dataset CSV from 'gen'")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int, help="training seed override")
@@ -424,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", required=True)
     p.add_argument("--model", required=True, help="model file from 'train'")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("verify", help="round-trip verification with overlays and plots")
@@ -435,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--variability", action="store_true",
                    help="run the five-set process-variability suite")
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("demo", help="full pipeline run with pass/fail summary")
@@ -452,10 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        if "config" in args:  # extract and verify take their settings from the model file
+            args.config = load_config(args.config)
         out = Outputs(args.out)
         try:
-            return args.fn(args, cfg, out)
+            return args.fn(args, out)
         except BaseException:
             out.cleanup()
             raise

@@ -46,6 +46,10 @@ from .params import (
 log = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
+#: The meta-line fields that record how this build samples a corpus; a
+#: dataset made another way is refused.
+_PROVENANCE = {"rng": RNG_ALGORITHM, "log_uniform": sorted(LOG_UNIFORM_PARAMS)}
+_META_KEYS = {"seed", "n", "ranges", "features", *_PROVENANCE}
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 SPLIT_LABELS = ("train", "val", "test")
 _MAX_RESAMPLE = 100
@@ -264,10 +268,9 @@ def save_dataset(ds: Dataset, path):
     meta = {
         "seed": ds.seed,
         "n": ds.n,
-        "rng": RNG_ALGORITHM,
         "ranges": ds.ranges.to_dict(),
         "features": asdict(ds.feature_cfg),
-        "log_uniform": sorted(LOG_UNIFORM_PARAMS),
+        **_PROVENANCE,
     }
     cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]
     row_fmt = ",".join(["%.17g"] * (len(cols) - 1) + ["%s"])
@@ -283,21 +286,30 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset CSV. The meta line must give the seed, the sampling
-    ranges, the feature settings and ``n``, the number of data rows, so a
-    file cut short is rejected. Anything malformed raises a DataError
-    naming the file."""
+    """Read a dataset CSV. The meta line must hold exactly the keys
+    ``save_dataset`` writes: the seed, the sampling ranges, the feature
+    settings, ``n``, the number of data rows, so a file cut short is
+    rejected, and the provenance of this build's sampler. Anything
+    malformed raises a DataError naming the file."""
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("# meta "):
         raise DataError(f"{path}: missing '# meta' header line")
     meta = parse_json(lines[0][len("# meta "):], f"{path}: meta line")
-    if not isinstance(meta.get("ranges"), dict):
+    if meta.keys() != _META_KEYS:
+        raise DataError(f"{path}: the meta line must hold exactly {', '.join(sorted(_META_KEYS))}; "
+                        f"missing {sorted(_META_KEYS - meta.keys())}, "
+                        f"unknown {reprlib.repr(sorted(meta.keys() - _META_KEYS))}")
+    for key, value in _PROVENANCE.items():
+        if meta[key] != value:
+            raise DataError(f"{path}: the meta line gives {key} {reprlib.repr(meta[key])}; "
+                            f"this build samples with {value!r}")
+    if not isinstance(meta["ranges"], dict):
         raise DataError(f"{path}: the meta line must hold a ranges object")
     try:
-        require_int("seed", meta.get("seed"), minimum=0)
-        require_int("n", meta.get("n"), minimum=1)
+        require_int("seed", meta["seed"], minimum=0)
+        require_int("n", meta["n"], minimum=1)
         ranges = ParamRanges.from_dict(meta["ranges"])
-        feature_cfg = _read_feature_cfg(meta.get("features"))
+        feature_cfg = _read_feature_cfg(meta["features"])
     except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: bad meta line: {exc}") from exc
     expected_cols = list(FEATURE_NAMES) + list(PARAM_NAMES) + ["split"]

@@ -273,6 +273,23 @@ def test_demo_exit_code_contract(tmp_path):
     assert any(not c["pass"] for c in summary["checks"])
 
 
+def test_demo_echoes_its_network_and_training_settings(tmp_path):
+    """The demo trains with its fixed seed, not train.seed, and its echo
+    says so."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mlp": {"hidden": [8]},
+                               "train": {"max_epochs": 2, "patience": 1, "refine": [], "seed": 77}}))
+    out = tmp_path / "demo"
+    assert main(["demo", "--out", str(out), "--n", "100", "--devices", "1",
+                 "--config", str(cfg)]) == 4
+    resolved = json.loads((out / "config_resolved.json").read_text())
+    assert resolved["mlp"] == {"widths": [24, 8, 14], "seed": 0}
+    assert resolved["train"]["seed"] == 202
+    assert resolved["train"]["max_epochs"] == 2
+    assert resolved["train"]["refine_factors"] == []
+    assert resolved["gen_seed"] == 101
+
+
 @pytest.mark.parametrize("devices", [-5, 0])
 def test_demo_rejects_a_device_count_below_1(tmp_path, capsys, devices):
     out = tmp_path / "demo"
@@ -319,24 +336,28 @@ def test_non_utf8_input_exits_3(tmp_path, capsys, trained_dirs, reader):
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--n", "100"])  # missing --seed/--out
-    assert exc.value.code == 2
+    for argv in (["gen", "--n", "100"],  # missing --seed/--out
+                 ["train", "--out", "o"]):  # missing --data
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    """paths.out and paths.model were once accepted and never read; the
-    refine schedule has one config name, refine."""
+    """The top-level keys are the sections: the seed is train.seed (or
+    train --seed) and the dataset is train --data. The refine schedule has
+    one config name, refine."""
     cfg_path = tmp_path / "cfg.json"
     for cfg, message in (({"tempo": 1}, "unknown config key 'tempo'"),
-                         ({"paths": {"out": "elsewhere"}}, "unknown key paths.'out'"),
-                         ({"paths": {"model": "m.json"}}, "unknown key paths.'model'"),
+                         ({"seed": 4}, "unknown config key 'seed'"),
+                         ({"paths": {"dataset": "d.csv"}}, "unknown config key 'paths'"),
                          ({"train": {"refine_factors": []}}, "unknown key train.'refine_factors'")):
         cfg_path.write_text(json.dumps(cfg))
         code = main(["gen", "--n", "100", "--seed", "1", "--out", str(tmp_path / "o"),
                      "--config", str(cfg_path)])
         assert code == 3
-        assert capsys.readouterr().err.endswith(message + "\n")
+        err = capsys.readouterr().err
+        assert err == f"fetfit: error: ConfigError: {cfg_path}: {message}\n"
         assert not any(p.is_file() for p in (tmp_path / "o").rglob("*"))
 
 
@@ -357,17 +378,24 @@ UNPARSABLE = "not valid JSON: "
     (TRAIN, {"mlp": {"seed": 2.9}}, "seed"),
     (TRAIN, {"mlp": {"hidden": [64.7]}}, "layer width"),
     (["features", "--curves", "absent"], {"mlp": {"hidden": 64}}, None),
-    (GEN, {"seed": NON_NUMBERS["string"]}, "seed"),
+    (GEN, {"train": {"seed": NON_NUMBERS["string"]}}, "seed"),
     # the cases below got through, or ended in a traceback, before the config
-    # reader checked the seed and the settings checked their numbers themselves:
-    (GEN, {"seed": NON_NUMBERS["bool"]}, "seed"),  # gen exited 0
-    (GEN, {"seed": -5}, "seed"),  # gen exited 0
+    # reader checked every section and the settings checked their numbers
+    # themselves:
+    (GEN, {"train": {"seed": NON_NUMBERS["bool"]}}, "seed"),
+    (GEN, {"train": {"seed": -5}}, "seed"),
     (GEN, {"features": {"i_crit": NON_NUMBERS["huge-int"]}}, "i_crit"),  # an OverflowError
     (GEN, {"features": {"i_crit": NON_NUMBERS["inf"]}}, "i_crit"),  # every device failed
     (TRAIN, {"train": {"learning_rate": NON_NUMBERS["string"]}}, "learning_rate"),
     (TRAIN, {"train": {"learning_rate": NON_NUMBERS["bool"]}}, "learning_rate"),
     # a traceback before: numpy's weight draw refused the width
     (TRAIN, {"mlp": {"hidden": [10**29]}}, "layer width must be <= 4096"),
+    # an empty object or string read as an empty list: no hidden layer, or
+    # no refinement stage
+    (TRAIN, {"mlp": {"hidden": {}}}, "hidden must be an array"),
+    (TRAIN, {"mlp": {"hidden": ""}}, "hidden must be an array"),
+    (TRAIN, {"train": {"refine": {}}}, "refine must be an array"),
+    (TRAIN, {"train": {"refine": ""}}, "refine must be an array"),
     # tracebacks before the file was read with errors.read_json, which names
     # the file; these fail before any section is read
     (GEN, {"features": {"i_crit": NON_NUMBERS["5000-digit-int"]}}, UNPARSABLE),
@@ -375,7 +403,9 @@ UNPARSABLE = "not valid JSON: "
 ], ids=["ranges", "ranges-string-pair", "features", "mlp", "train", "train-batch-size-float",
         "train-max-epochs-float", "mlp-seed-float", "mlp-hidden-float", "section-unused",
         "seed-string", "seed-bool", "seed-negative", "features-huge-int", "features-inf", "train-lr-string",
-        "train-lr-bool", "mlp-hidden-over-bound", "features-5000-digit-int", "features-deep-nest"])
+        "train-lr-bool", "mlp-hidden-over-bound", "mlp-hidden-object", "mlp-hidden-string",
+        "train-refine-object", "train-refine-string", "features-5000-digit-int",
+        "features-deep-nest"])
 def test_malformed_config_section_exits_3(tmp_path, capsys, argv, cfg, field):
     """field: the name the message gives (None: the message names only the
     section; ``UNPARSABLE``: the file is not JSON Python reads)."""
@@ -487,15 +517,14 @@ def test_no_writes_outside_out(tmp_path, monkeypatch):
     assert os.listdir(workdir) == []
 
 
-#: A non-default config: a top-level seed as the train seed fallback, an
-#: integer-valued float setting (echoed as a float) and a refinement stage.
+#: A non-default config: a train seed, an integer-valued float setting
+#: (echoed as a float) and a refinement stage.
 ECHO_CFG = {
-    "seed": 4,
     "ranges": {"PHIG": [4.35, 4.55]},
     "features": {"i_crit": 1.5e-7},
     "mlp": {"hidden": [16, 12], "seed": 3},
     "train": {"learning_rate": 0.002, "batch_size": 64, "max_epochs": 3, "patience": 2,
-              "eps": 1, "refine": [0.5]},
+              "eps": 1, "refine": [0.5], "seed": 4},
 }
 
 ECHO_SHA256 = {
@@ -518,13 +547,13 @@ def test_echo_bytes_golden(tmp_path, monkeypatch):
     Path("cfg.json").write_text(json.dumps(ECHO_CFG))
     Path("true.json").write_text(json.dumps(REFERENCE_PARAMS.to_dict()))
     runs = {
-        "gen": ["gen", "--n", "120", "--seed", "9"],
-        "train": ["train", "--data", "gen/dataset.csv"],
+        "gen": ["gen", "--n", "120", "--seed", "9", "--config", "cfg.json"],
+        "train": ["train", "--data", "gen/dataset.csv", "--config", "cfg.json"],
         "verify": ["verify", "--params", "true.json", "--model", "train/model.json"],
     }
     digests = {}
     for name, argv in runs.items():
-        assert main(argv + ["--out", name, "--config", "cfg.json"]) == 0
+        assert main(argv + ["--out", name]) == 0
         digests[name] = hashlib.sha256(Path(name, "config_resolved.json").read_bytes()).hexdigest()
     assert digests == ECHO_SHA256
     meta = Path("train", "history.csv").read_text().splitlines()[0]
@@ -532,25 +561,21 @@ def test_echo_bytes_golden(tmp_path, monkeypatch):
                                                                "history meta digest")
 
     # the feature settings travel with the corpus and the model: train
-    # echoes the dataset's, and extract and verify featurize with the
-    # model's and echo them, whatever their --config holds
+    # echoes the dataset's, and extract and verify, which take no --config,
+    # featurize with the model's and echo them
     Path("fast.json").write_text(json.dumps(FAST_TRAIN))
     assert main(["train", "--data", "gen/dataset.csv", "--out", "train-fast",
                  "--config", "fast.json"]) == 0
     write_curveset_dir(simulate_curveset(REFERENCE_PARAMS.replace(PHIG=4.43)), "device0")
     model = ["--model", "train/model.json"]
-    for name, argv, output in (
-            ("extract", ["extract", "--curves", "device0", *model], "params.json"),
-            ("verify-curves", ["verify", "--curves", "device0", *model], "report.json"),
-            ("verify", runs["verify"], "report.json")):
-        if name != "verify":  # run with the config above
-            assert main(argv + ["--out", name, "--config", "cfg.json"]) == 0
-        assert main(argv + ["--out", f"{name}-bare"]) == 0
-        with_cfg, bare = (json.loads(Path(d, output).read_text()) for d in (name, f"{name}-bare"))
-        for doc in (with_cfg, bare):
-            doc.pop("extract_seconds", None)  # a wall time
-        assert bare == with_cfg, name
-    for name in ("train-fast", "extract-bare", "verify-curves-bare", "verify-bare"):
+    for name, argv in (("extract", ["extract", "--curves", "device0", *model]),
+                       ("verify-curves", ["verify", "--curves", "device0", *model])):
+        assert main(argv + ["--out", name]) == 0
+    for argv in (runs["verify"], ["extract", "--curves", "device0", *model]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", "refused", "--config", "cfg.json"])
+        assert exc.value.code == 2
+    for name in ("train-fast", "extract", "verify-curves", "verify"):
         resolved = json.loads(Path(name, "config_resolved.json").read_text())
         assert resolved["features"] == {"i_crit": 1.5e-7, "ss_lo": 3e-9, "ss_hi": 3e-8}, name
 
@@ -710,10 +735,15 @@ def test_malformed_params_file_exits_3(tmp_path, capsys, trained_dirs, value, na
     lambda meta: {**meta, "features": {**meta["features"], "i_crit_v": 0.3}},
     lambda meta: {k: v for k, v in meta.items() if k != "n"},
     lambda meta: {**meta, "n": meta["n"] + 1},
+    # trained without a word before the provenance fields were checked
+    lambda meta: {**meta, "rng": "mt19937"},
+    lambda meta: {**meta, "log_uniform": ["PHIG"]},
+    lambda meta: {**meta, "bogus": 1},
 ], ids=["no-seed", "string-seed", "string-range", "inverted-range", "not-an-object",
         "object-range", "digit-string-range", "triple-range", "bool-range", "string-pair-range",
         "huge-int-range", "5000-digit-int-range", "deep-nest-range", "no-features",
-        "ss-lo-over-ss-hi", "string-i-crit", "unknown-feature-key", "no-n", "n-past-the-rows"])
+        "ss-lo-over-ss-hi", "string-i-crit", "unknown-feature-key", "no-n", "n-past-the-rows",
+        "other-rng", "other-log-uniform", "unknown-key"])
 def test_malformed_dataset_meta_exits_3(tmp_path, capsys, trained_dirs, edit):
     meta_line, *rest = (trained_dirs[0] / "dataset.csv").read_text().splitlines()
     data, out = tmp_path / "dataset.csv", tmp_path / "out"

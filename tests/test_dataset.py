@@ -230,8 +230,9 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(DataError):
         load_dataset(nan_cell)
 
-    # a meta line that is not an object, or with a bad seed, n, ranges or
-    # feature settings, names the file
+    # a meta line that is not an object, with a bad seed, n, ranges or
+    # feature settings, with another sampler's provenance or with a key
+    # save_dataset does not write, names the file
     meta = json.loads(text.splitlines()[0][len("# meta "):])
     inverted = {**meta["ranges"], "PHIG": [4.6, 4.3]}
     features = meta["features"]
@@ -258,6 +259,9 @@ def test_load_rejects_malformed(tmp_path):
         {**meta, "n": 0},
         {**meta, "n": 101},  # a row more than the file holds
         {**meta, "n": 99},
+        {**meta, "rng": "mt19937"},
+        {**meta, "log_uniform": ["PHIG"]},
+        {**meta, "bogus": 1},
     ]):
         path = tmp_path / f"meta{i}.csv"
         path.write_text("\n".join(["# meta " + json.dumps(bad_meta)] + text.splitlines()[1:]))
